@@ -76,6 +76,13 @@ CA_SIM_KERNEL=sparse ctest --test-dir build -L sim --output-on-failure \
 CA_SIM_KERNEL=dense ctest --test-dir build -L sim --output-on-failure \
     -j "$JOBS"
 
+# The serving suites repeated under load: 8 parallel ctest jobs, each
+# test run up to 20 times. A test that asserts an ordering without a
+# barrier (e.g. across two connections) flakes here long before it
+# flakes in a single run.
+ctest --test-dir build --repeat until-fail:20 -j 8 -L "net|runtime|cluster" \
+    --output-on-failure
+
 # The kernel-comparison bench's plumbing (table + cross-kernel report
 # check) at smoke size, so the bench binary cannot rot between releases.
 ./build/bench/bench_kernel_comparison --smoke >/dev/null
@@ -214,9 +221,10 @@ ctest --test-dir build-tsan -L runtime --output-on-failure -j "$JOBS"
 ctest --test-dir build-tsan -L score --output-on-failure -j "$JOBS"
 
 # The same TSan subset with every worker engine forced onto the dense
-# kernel: its lazily-built tables and frontier bitvectors are per-sim
-# state, and this run proves the multi-stream scheduler keeps them
-# data-race-free under context switching.
+# kernel: all workers read the dense tables of one immutable
+# MatchContext and step their own engine's frontier bitvectors, and
+# this run proves the multi-stream scheduler keeps both data-race-free
+# under context switching.
 CA_SIM_KERNEL=dense ctest --test-dir build-tsan -L runtime \
     --output-on-failure -j "$JOBS"
 

@@ -1,0 +1,275 @@
+/**
+ * @file
+ * The sparse and dense per-symbol steppers and the block loop that
+ * dispatches between them, templated on a kernel observer
+ * (match::NullObserver documents the hooks).
+ *
+ * Included by match_engine.cpp, which instantiates them with
+ * NullObserver, and by the simulator, which instantiates them with its
+ * ActivityObserver. Every hook is an inline call on a concrete type, so
+ * the NullObserver instantiation is token-for-token the bare kernel.
+ */
+#ifndef CA_MATCH_KERNELS_H
+#define CA_MATCH_KERNELS_H
+
+#include <algorithm>
+#include <bit>
+
+#include "match/match_engine.h"
+
+namespace ca::match {
+
+/** Dense-kernel partition geometry (§2.2: 256 STEs per 8 KB array). */
+inline constexpr uint32_t kSlotsPerPartition = 256;
+inline constexpr uint32_t kWordsPerPartition = kSlotsPerPartition / 64;
+
+template <class Obs>
+void
+MatchEngine::feed(const uint8_t *data, size_t size, Obs &obs)
+{
+    const bool auto_kernel = opts_.kernel == SimKernel::Auto;
+    size_t pos = 0;
+    while (pos < size) {
+        const bool use_dense = chooseDense();
+        size_t block = size - pos;
+        if (auto_kernel && opts_.autoBlockSymbols > 0)
+            block = std::min(block,
+                             static_cast<size_t>(opts_.autoBlockSymbols));
+        countBlock(use_dense, block);
+        obs.block(use_dense, block);
+
+        if (use_dense && !dense_active_)
+            syncDenseFromSparse();
+        else if (!use_dense && dense_active_)
+            syncSparseFromDense();
+
+        if (frontierSize() == 0 && ctx_->all_input_.empty()) {
+            // A dead stream stays dead: with no enabled states and no
+            // always-on starts, no future symbol can fire anything, so
+            // the block is skipped, not stepped. This is what makes
+            // replaying past a died-out anchored ruleset nearly free.
+            obs.skip(offset_, block);
+            offset_ += block;
+        } else if (use_dense) {
+            if (ctx_->scored())
+                feedDenseImpl<true>(data + pos, block, obs);
+            else
+                feedDenseImpl<false>(data + pos, block, obs);
+        } else {
+            if (ctx_->scored())
+                feedSparseImpl<true>(data + pos, block, obs);
+            else
+                feedSparseImpl<false>(data + pos, block, obs);
+        }
+        pos += block;
+        if (auto_kernel)
+            sampleDensity();
+    }
+}
+
+template <bool Scored, class Obs>
+void
+MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
+{
+    const MatchContext &cx = *ctx_;
+    const uint64_t *labels = cx.labels_.data();
+    const uint64_t *report_info = cx.report_info_.data();
+    const uint32_t *succ_xadj = cx.succ_xadj_.data();
+    const StateId *succ = cx.succ_.data();
+    const bool gather_reports = collect_ || Obs::kCountsReports;
+
+    for (size_t i = 0; i < size; ++i) {
+        uint8_t c = data[i];
+        const uint64_t label_bit = uint64_t{1} << (c & 63);
+        const size_t label_word = c >> 6;
+
+        // State-match phase.
+        obs.sparseFrontier(enabled_);
+        active_scratch_.clear();
+        for (StateId s : enabled_) {
+            if (!(labels[s * 4 + label_word] & label_bit))
+                continue;
+            active_scratch_.push_back(s);
+            obs.sparseMatch(s);
+            if (gather_reports && (report_info[s] & 1)) {
+                if constexpr (Scored)
+                    cycle_report_scored_.emplace_back(s, score_cur_[s]);
+                else
+                    cycle_report_scratch_.push_back(s);
+            }
+        }
+        if constexpr (Scored)
+            obs.symbolEnd(offset_, emitCycleReportsScored());
+        else
+            obs.symbolEnd(offset_, emitCycleReports());
+
+        // State-transition phase. Clear only the bits set last cycle (the
+        // mask is as wide as the NFA; a full clear would dominate).
+        for (StateId s : enabled_)
+            enabled_mask_.resetUnchecked(s);
+        enabled_.clear();
+        // Enables t; scored runs ⊕ the candidate score into it.
+        auto enable = [&](StateId t, [[maybe_unused]] Score cand) {
+            if (!enabled_mask_.testUnchecked(t)) {
+                enabled_mask_.setUnchecked(t);
+                enabled_.push_back(t);
+                if constexpr (Scored)
+                    score_nxt_[t] = cand;
+            } else if constexpr (Scored) {
+                score_nxt_[t] =
+                    scoreCombine(opts_.semiring, score_nxt_[t], cand);
+            }
+        };
+        for (StateId s : active_scratch_) {
+            uint32_t end = succ_xadj[s + 1];
+            for (uint32_t e = succ_xadj[s]; e < end; ++e) {
+                Score cand = 0; // ⊗ along the edge
+                if constexpr (Scored)
+                    cand = score_cur_[s] + static_cast<Score>(cx.succ_w_[e]);
+                enable(succ[e], cand);
+            }
+        }
+        // An always-on start competes with any incoming path at its
+        // start weight (a fresh local alignment).
+        for (StateId s : cx.all_input_)
+            enable(s, Scored ? static_cast<Score>(cx.start_w_[s]) : 0);
+        if constexpr (Scored)
+            score_cur_.swap(score_nxt_);
+        ++offset_;
+    }
+}
+
+template <bool Scored, class Obs>
+void
+MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
+{
+    const MatchContext &cx = *ctx_;
+    const uint32_t P = cx.dense_partitions_;
+    const size_t words = static_cast<size_t>(P) * kWordsPerPartition;
+    uint64_t *cur = dense_cur_.raw().data();
+    uint64_t *nxt = dense_nxt_.raw().data();
+    const uint64_t *rep_mask = cx.dense_report_.data();
+    const uint64_t *lswitch = cx.dense_lswitch_.data();
+    const bool gather_reports = collect_ || Obs::kCountsReports;
+    // Scored runs keep the word-parallel row read for matching but
+    // propagate scores scalar per matched state via the successor CSR;
+    // an epoch array discriminates first-write from ⊕-combine without
+    // clearing the score vector each symbol.
+    Score *scur = Scored ? dense_score_cur_.data() : nullptr;
+    Score *snxt = Scored ? dense_score_nxt_.data() : nullptr;
+
+    for (size_t i = 0; i < size; ++i) {
+        uint8_t c = data[i];
+        std::fill(nxt, nxt + words, 0);
+        [[maybe_unused]] uint64_t score_epoch = 0;
+        if constexpr (Scored)
+            score_epoch = ++dense_epoch_counter_;
+        // First write of dense target ti this symbol, or ⊕-combine.
+        [[maybe_unused]] auto relax = [&](uint32_t ti, Score cand) {
+            if (dense_score_epoch_[ti] != score_epoch) {
+                dense_score_epoch_[ti] = score_epoch;
+                snxt[ti] = cand;
+            } else {
+                snxt[ti] = scoreCombine(opts_.semiring, snxt[ti], cand);
+            }
+        };
+
+        const uint64_t *rows = &cx.dense_rows_[static_cast<size_t>(c) *
+                                               words];
+        for (uint32_t p = 0; p < P; ++p) {
+            const size_t base = static_cast<size_t>(p) *
+                kWordsPerPartition;
+            const uint64_t e0 = cur[base + 0];
+            const uint64_t e1 = cur[base + 1];
+            const uint64_t e2 = cur[base + 2];
+            const uint64_t e3 = cur[base + 3];
+            if (!(e0 | e1 | e2 | e3))
+                continue;
+            obs.densePartition(e0, e1, e2, e3);
+            // The §2.2 row read: the SRAM row *is* the match vector.
+            uint64_t m[4] = {e0 & rows[base + 0], e1 & rows[base + 1],
+                             e2 & rows[base + 2], e3 & rows[base + 3]};
+            if (!(m[0] | m[1] | m[2] | m[3]))
+                continue;
+            for (int w = 0; w < 4; ++w) {
+                uint64_t mw = m[w];
+                if (!mw)
+                    continue;
+                obs.denseMatch(base + static_cast<size_t>(w), mw);
+                if (gather_reports) {
+                    uint64_t rw = mw & rep_mask[base + w];
+                    while (rw) {
+                        int b = std::countr_zero(rw);
+                        uint32_t di = static_cast<uint32_t>(
+                            (base + static_cast<size_t>(w)) * 64 +
+                            static_cast<size_t>(b));
+                        if constexpr (Scored)
+                            cycle_report_scored_.emplace_back(
+                                cx.state_of_dense_[di], scur[di]);
+                        else
+                            cycle_report_scratch_.push_back(
+                                cx.state_of_dense_[di]);
+                        rw &= rw - 1;
+                    }
+                }
+                // Transition: matched states drive their L-switch rows
+                // (4-word OR) and their few G-switch wires.
+                while (mw) {
+                    int b = std::countr_zero(mw);
+                    uint32_t di = static_cast<uint32_t>(
+                        (base + static_cast<size_t>(w)) * 64 +
+                        static_cast<size_t>(b));
+                    const uint64_t *row = lswitch +
+                        static_cast<size_t>(di) * kWordsPerPartition;
+                    nxt[base + 0] |= row[0];
+                    nxt[base + 1] |= row[1];
+                    nxt[base + 2] |= row[2];
+                    nxt[base + 3] |= row[3];
+                    for (uint32_t e = cx.dense_cross_xadj_[di];
+                         e < cx.dense_cross_xadj_[di + 1]; ++e) {
+                        uint32_t ti = cx.dense_cross_[e];
+                        nxt[ti >> 6] |= uint64_t{1} << (ti & 63);
+                    }
+                    if constexpr (Scored) {
+                        const StateId s = cx.state_of_dense_[di];
+                        const Score from = scur[di];
+                        const uint32_t end = cx.succ_xadj_[s + 1];
+                        for (uint32_t e = cx.succ_xadj_[s]; e < end; ++e)
+                            relax(cx.dense_index_of_[cx.succ_[e]],
+                                  from + static_cast<Score>(cx.succ_w_[e]));
+                    }
+                    mw &= mw - 1;
+                }
+            }
+        }
+        if constexpr (Scored)
+            obs.symbolEnd(offset_, emitCycleReportsScored());
+        else
+            obs.symbolEnd(offset_, emitCycleReports());
+
+        for (const auto &[w, mask] : cx.dense_allinput_words_)
+            nxt[w] |= mask;
+        if constexpr (Scored) {
+            for (StateId s : cx.all_input_)
+                relax(cx.dense_index_of_[s],
+                      static_cast<Score>(cx.start_w_[s]));
+        }
+
+        std::swap(cur, nxt);
+        if constexpr (Scored)
+            std::swap(scur, snxt);
+        ++offset_;
+    }
+    // An odd symbol count leaves the live frontier in dense_nxt_'s
+    // storage; swap the vectors so dense_cur_ owns it again.
+    if (cur != dense_cur_.raw().data())
+        std::swap(dense_cur_, dense_nxt_);
+    if constexpr (Scored) {
+        if (scur != dense_score_cur_.data())
+            dense_score_cur_.swap(dense_score_nxt_);
+    }
+}
+
+} // namespace ca::match
+
+#endif // CA_MATCH_KERNELS_H

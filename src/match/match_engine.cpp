@@ -2,10 +2,61 @@
 
 #include <algorithm>
 #include <bit>
-#include <deque>
+#include <cstdlib>
 
 #include "core/error.h"
 #include "core/logging.h"
+#include "match/kernels.h"
+
+namespace ca {
+
+std::optional<SimKernel>
+parseKernelName(std::string_view name)
+{
+    if (name == "sparse")
+        return SimKernel::Sparse;
+    if (name == "dense")
+        return SimKernel::Dense;
+    if (name == "auto")
+        return SimKernel::Auto;
+    return std::nullopt;
+}
+
+const char *
+kernelName(SimKernel k)
+{
+    switch (k) {
+    case SimKernel::Sparse:
+        return "sparse";
+    case SimKernel::Dense:
+        return "dense";
+    case SimKernel::Auto:
+        return "auto";
+    }
+    return "auto";
+}
+
+std::optional<SimKernel>
+simKernelEnvOverride()
+{
+    static const std::optional<SimKernel> parsed = [] {
+        std::optional<SimKernel> out;
+        const char *env = std::getenv("CA_SIM_KERNEL");
+        if (!env || !*env)
+            return out;
+        out = parseKernelName(env);
+        if (!out) {
+            CA_WARN("CA_SIM_KERNEL=" << env
+                                     << " is not sparse/dense/auto; "
+                                        "falling back to auto");
+            out = SimKernel::Auto;
+        }
+        return out;
+    }();
+    return parsed;
+}
+
+} // namespace ca
 
 namespace ca::match {
 
@@ -18,10 +69,6 @@ requireAutomaton(const std::shared_ptr<const MappedAutomaton> &mapped)
     CA_FATAL_IF(!mapped, "MatchContext: null mapped automaton");
     return *mapped;
 }
-
-/** Dense-kernel partition geometry (§2.2: 256 STEs per 8 KB array). */
-constexpr uint32_t kSlotsPerPartition = 256;
-constexpr uint32_t kWordsPerPartition = kSlotsPerPartition / 64;
 
 } // namespace
 
@@ -42,12 +89,16 @@ MatchContext::MatchContext(const MappedAutomaton &mapped) : mapped_(mapped)
 void
 MatchContext::buildSparseTables()
 {
+    // Flatten labels, successors, and report attributes so the
+    // per-symbol loop touches dense arrays instead of NfaState objects.
     const Nfa &nfa = mapped_.nfa();
     labels_.resize(num_states_ * 4);
     report_info_.resize(num_states_);
     succ_xadj_.assign(num_states_ + 1, 0);
     for (StateId s = 0; s < num_states_; ++s) {
         const NfaState &st = nfa.state(s);
+        if (st.start != StartType::None)
+            start_frontier_.push_back(s);
         if (st.start == StartType::AllInput)
             all_input_.push_back(s);
         const auto &words = st.label.raw();
@@ -66,6 +117,8 @@ MatchContext::buildSparseTables()
             succ_[base + i] = out[i];
     }
 
+    // Weighted automata additionally flatten the edge/start weights;
+    // unweighted ones skip all of it and run the exact unscored kernels.
     scored_ = nfa.hasWeights();
     if (scored_) {
         succ_w_.assign(succ_.size(), 0);
@@ -110,28 +163,45 @@ MatchContext::buildDenseTables()
     }
 
     // Row reads (§2.2), symbol-major so one symbol's step scans
-    // contiguous memory across partitions.
-    dense_rows_.assign(static_cast<size_t>(256) * words, 0);
+    // contiguous memory across partitions: state s is bit di of row c
+    // when its label holds c. The table is built on every server's
+    // start path, so a state whose label holds most of the alphabet (a
+    // negated class, `.`) starts set in every row and is then cleared
+    // from the rows of the symbols it rejects: no state costs more than
+    // 128 row writes.
+    auto wide = [&](StateId s) {
+        int n = 0;
+        for (int w = 0; w < 4; ++w)
+            n += std::popcount(labels_[s * 4 + w]);
+        return n > 128;
+    };
+    std::vector<uint64_t> all_rows(words, 0);
+    for (StateId s = 0; s < num_states_; ++s)
+        if (wide(s))
+            all_rows[dense_index_of_[s] >> 6] |=
+                uint64_t{1} << (dense_index_of_[s] & 63);
+    dense_rows_.reserve(static_cast<size_t>(256) * words);
+    for (int c = 0; c < 256; ++c)
+        dense_rows_.insert(dense_rows_.end(), all_rows.begin(),
+                           all_rows.end());
     for (StateId s = 0; s < num_states_; ++s) {
-        uint32_t di = dense_index_of_[s];
-        uint32_t p = di / kSlotsPerPartition;
-        uint32_t slot = di % kSlotsPerPartition;
-        uint64_t slot_bit = uint64_t{1} << (slot & 63);
-        size_t slot_word = slot >> 6;
+        const uint32_t di = dense_index_of_[s];
+        const uint64_t bit = uint64_t{1} << (di & 63);
+        const uint64_t flip = wide(s) ? ~uint64_t{0} : 0;
         for (int w = 0; w < 4; ++w) {
-            uint64_t label = labels_[s * 4 + w];
-            while (label) {
-                int b = std::countr_zero(label);
-                uint32_t c = static_cast<uint32_t>(w * 64 + b);
-                dense_rows_[(static_cast<size_t>(c) * P + p) *
-                                kWordsPerPartition +
-                            slot_word] |= slot_bit;
-                label &= label - 1;
+            uint64_t toggle = labels_[s * 4 + w] ^ flip;
+            while (toggle) {
+                const size_t c = static_cast<size_t>(w) * 64 +
+                    static_cast<size_t>(std::countr_zero(toggle));
+                dense_rows_[c * words + (di >> 6)] ^= bit;
+                toggle &= toggle - 1;
             }
         }
     }
 
-    // L-switch crossbar rows and G-switch CSR.
+    // L-switch crossbar rows (intra-partition successors) and G-switch
+    // CSR (cross-partition successors, few per state by the 16/8 wire
+    // budgets).
     dense_lswitch_.assign(state_of_dense_.size() * kWordsPerPartition, 0);
     dense_cross_xadj_.assign(state_of_dense_.size() + 1, 0);
     std::vector<uint32_t> partition_of(num_states_);
@@ -188,50 +258,34 @@ MatchContext::buildDenseTables()
 void
 MatchContext::buildFrontiers()
 {
-    const Nfa &nfa = mapped_.nfa();
-    for (StateId s = 0; s < num_states_; ++s)
-        if (nfa.state(s).start != StartType::None)
-            start_frontier_.push_back(s);
-
     // reachableFrontier: AllInput starts plus everything reachable via
     // >= 1 transition from any start state. For any offset t >= 1 the
     // exact frontier is succ(active at t-1) ∪ allInput, and active
     // states are reachable, so this set contains every frontier a
-    // stream can ever be in past offset 0. One BFS at build time.
-    BitVector in_set(num_states_ == 0 ? 1 : num_states_);
-    std::deque<StateId> queue;
-    auto add = [&](StateId s) {
-        if (!in_set.test(s)) {
-            in_set.set(s);
-            reachable_frontier_.push_back(s);
-            queue.push_back(s);
-        }
-    };
-    // Seed the BFS worklist with the starts themselves; a start enters
-    // the frontier set only via an in-edge (or by being AllInput).
-    BitVector visited(num_states_ == 0 ? 1 : num_states_);
-    for (StateId s : start_frontier_) {
-        visited.set(s);
-        queue.push_back(s);
-    }
+    // stream can ever be in past offset 0. One BFS at build time, over
+    // every state reachable from a start; a start enters the set only
+    // via an in-edge (or by being AllInput).
+    BitVector reached(num_states_);
+    BitVector visited(num_states_);
     for (StateId s : all_input_)
-        add(s);
-    while (!queue.empty()) {
-        StateId s = queue.front();
-        queue.pop_front();
+        reached.setUnchecked(s);
+    std::vector<StateId> work = start_frontier_;
+    for (StateId s : work)
+        visited.setUnchecked(s);
+    for (size_t i = 0; i < work.size(); ++i) {
+        const StateId s = work[i];
         for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e) {
-            StateId t = succ_[e];
-            if (!in_set.test(t)) {
-                in_set.set(t);
-                reachable_frontier_.push_back(t);
-            }
-            if (!visited.test(t)) {
-                visited.set(t);
-                queue.push_back(t);
+            const StateId t = succ_[e];
+            reached.setUnchecked(t);
+            if (!visited.testUnchecked(t)) {
+                visited.setUnchecked(t);
+                work.push_back(t);
             }
         }
     }
-    std::sort(reachable_frontier_.begin(), reachable_frontier_.end());
+    reached.forEachSet([&](size_t s) {
+        reachable_frontier_.push_back(static_cast<StateId>(s));
+    });
 }
 
 MatchEngine::MatchEngine(std::shared_ptr<const MatchContext> ctx,
@@ -314,6 +368,43 @@ MatchEngine::setState(const std::vector<StateId> &frontier,
     cycle_report_scored_.clear();
 }
 
+SimCheckpoint
+MatchEngine::checkpoint() const
+{
+    SimCheckpoint ckpt;
+    ckpt.symbolOffset = offset_;
+    if (!ctx_->scored()) {
+        ckpt.enabledStates = frontier();
+        return ckpt;
+    }
+    // Weighted automata checkpoint the per-state scores alongside the
+    // frontier, kept parallel through the canonical sort.
+    std::vector<std::pair<StateId, Score>> pairs;
+    if (dense_active_) {
+        dense_cur_.forEachSet([&](size_t di) {
+            pairs.emplace_back(ctx_->state_of_dense_[di],
+                               dense_score_cur_[di]);
+        });
+    } else {
+        for (StateId s : enabled_)
+            pairs.emplace_back(s, score_cur_[s]);
+    }
+    std::sort(pairs.begin(), pairs.end());
+    ckpt.enabledStates.reserve(pairs.size());
+    ckpt.enabledScores.reserve(pairs.size());
+    for (const auto &[s, score] : pairs) {
+        ckpt.enabledStates.push_back(s);
+        ckpt.enabledScores.push_back(score);
+    }
+    return ckpt;
+}
+
+void
+MatchEngine::restore(const SimCheckpoint &ckpt)
+{
+    setState(ckpt.enabledStates, ckpt.enabledScores, ckpt.symbolOffset);
+}
+
 std::vector<StateId>
 MatchEngine::frontier() const
 {
@@ -332,26 +423,7 @@ MatchEngine::frontier() const
 std::vector<Score>
 MatchEngine::frontierScores() const
 {
-    std::vector<Score> out;
-    if (!ctx_->scored())
-        return out;
-    std::vector<std::pair<StateId, Score>> pairs;
-    if (dense_active_) {
-        dense_cur_.forEachSet([&](size_t di) {
-            pairs.emplace_back(ctx_->state_of_dense_[di],
-                               dense_score_cur_[di]);
-        });
-    } else {
-        for (StateId s : enabled_)
-            pairs.emplace_back(s, score_cur_[s]);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    out.reserve(pairs.size());
-    for (const auto &[s, score] : pairs) {
-        (void)s;
-        out.push_back(score);
-    }
-    return out;
+    return checkpoint().enabledScores;
 }
 
 size_t
@@ -368,6 +440,13 @@ MatchEngine::takeReports()
     return out;
 }
 
+void
+MatchEngine::feed(const uint8_t *data, size_t size)
+{
+    NullObserver none;
+    feed(data, size, none);
+}
+
 bool
 MatchEngine::chooseDense()
 {
@@ -379,14 +458,71 @@ MatchEngine::chooseDense()
     // Auto: seed the EWMA from the current frontier density so an
     // engine loaded with a hot frontier starts on the right kernel.
     const size_t n = ctx_->numStates();
-    if (n == 0)
-        return false;
     if (!density_seeded_) {
         density_ewma_ = static_cast<double>(frontierSize()) /
             static_cast<double>(n);
         density_seeded_ = true;
     }
     return density_ewma_ > opts_.autoDensityThreshold;
+}
+
+void
+MatchEngine::sampleDensity()
+{
+    // Sample the *enabled frontier*, not the matched count: the sparse
+    // kernel's per-symbol cost is one label test per enabled state
+    // (always-enabled all-input starts included), so frontier size is
+    // the quantity the crossover tracks.
+    const size_t n = ctx_->numStates();
+    if (n == 0)
+        return;
+    double sample =
+        static_cast<double>(frontierSize()) / static_cast<double>(n);
+    density_ewma_ = opts_.autoEwmaAlpha * sample +
+        (1.0 - opts_.autoEwmaAlpha) * density_ewma_;
+    ks_density_.store(density_ewma_, std::memory_order_relaxed);
+}
+
+void
+MatchEngine::countBlock(bool dense, size_t symbols)
+{
+    // ks_last_ spans setState()/restore(): a flip only counts when the
+    // *engine* really changed kernels between consecutive blocks.
+    const int kernel_id = dense ? 1 : 0;
+    (dense ? ks_dense_blocks_ : ks_sparse_blocks_)
+        .fetch_add(1, std::memory_order_relaxed);
+    (dense ? ks_dense_symbols_ : ks_sparse_symbols_)
+        .fetch_add(symbols, std::memory_order_relaxed);
+    int prev = ks_last_.load(std::memory_order_relaxed);
+    if (prev >= 0 && prev != kernel_id)
+        ks_flips_.fetch_add(1, std::memory_order_relaxed);
+    ks_last_.store(kernel_id, std::memory_order_relaxed);
+}
+
+KernelDecisionStats
+MatchEngine::kernelStats() const
+{
+    KernelDecisionStats ks;
+    ks.sparseBlocks = ks_sparse_blocks_.load(std::memory_order_relaxed);
+    ks.denseBlocks = ks_dense_blocks_.load(std::memory_order_relaxed);
+    ks.sparseSymbols = sparseSymbols();
+    ks.denseSymbols = denseSymbols();
+    ks.kernelFlips = ks_flips_.load(std::memory_order_relaxed);
+    ks.densityEwma = ks_density_.load(std::memory_order_relaxed);
+    ks.lastKernel = ks_last_.load(std::memory_order_relaxed);
+    return ks;
+}
+
+uint64_t
+MatchEngine::sparseSymbols() const
+{
+    return ks_sparse_symbols_.load(std::memory_order_relaxed);
+}
+
+uint64_t
+MatchEngine::denseSymbols() const
+{
+    return ks_dense_symbols_.load(std::memory_order_relaxed);
 }
 
 void
@@ -420,318 +556,46 @@ MatchEngine::syncSparseFromDense()
     dense_active_ = false;
 }
 
-void
+size_t
 MatchEngine::emitCycleReports()
 {
-    if (cycle_report_scratch_.empty())
-        return;
+    const size_t fired = cycle_report_scratch_.size();
+    if (fired == 0)
+        return 0;
     // Canonical within-cycle order: ascending state id (shared with the
-    // CPU oracle, both sim kernels, and both match kernels).
+    // CPU oracles and both kernels — bit-identical report streams).
     std::sort(cycle_report_scratch_.begin(), cycle_report_scratch_.end());
-    for (StateId s : cycle_report_scratch_)
-        reports_.push_back(Report{
-            offset_, static_cast<uint32_t>(ctx_->report_info_[s] >> 1),
-            s});
+    if (collect_) {
+        for (StateId s : cycle_report_scratch_)
+            reports_.push_back(Report{
+                offset_,
+                static_cast<uint32_t>(ctx_->report_info_[s] >> 1), s});
+    }
     cycle_report_scratch_.clear();
+    return fired;
 }
 
-void
+size_t
 MatchEngine::emitCycleReportsScored()
 {
-    if (cycle_report_scored_.empty())
-        return;
+    const size_t fired = cycle_report_scored_.size();
+    if (fired == 0)
+        return 0;
+    // Same canonical ascending-state order as the unscored path; the
+    // score rides along as the report payload.
     std::sort(cycle_report_scored_.begin(), cycle_report_scored_.end(),
               [](const auto &a, const auto &b) {
                   return a.first < b.first;
               });
-    for (const auto &[s, score] : cycle_report_scored_)
-        reports_.push_back(Report{
-            offset_, static_cast<uint32_t>(ctx_->report_info_[s] >> 1),
-            s, score});
+    if (collect_) {
+        for (const auto &[s, score] : cycle_report_scored_)
+            reports_.push_back(Report{
+                offset_,
+                static_cast<uint32_t>(ctx_->report_info_[s] >> 1), s,
+                score});
+    }
     cycle_report_scored_.clear();
-}
-
-void
-MatchEngine::feed(const uint8_t *data, size_t size)
-{
-    const bool auto_kernel = opts_.kernel == SimKernel::Auto;
-    const size_t n_states = ctx_->numStates();
-    size_t pos = 0;
-    while (pos < size) {
-        // A dead stream stays dead: with no enabled states and no
-        // always-on starts, no future symbol can fire anything. Jump to
-        // the end — this is what makes replaying past a died-out
-        // anchored ruleset nearly free.
-        if (frontierSize() == 0 && ctx_->all_input_.empty()) {
-            offset_ += size - pos;
-            return;
-        }
-
-        bool use_dense = chooseDense();
-        size_t block = size - pos;
-        if (auto_kernel && opts_.autoBlockSymbols > 0)
-            block = std::min(
-                block, static_cast<size_t>(opts_.autoBlockSymbols));
-
-        if (use_dense && !dense_active_)
-            syncDenseFromSparse();
-        else if (!use_dense && dense_active_)
-            syncSparseFromDense();
-
-        if (use_dense) {
-            feedDense(data + pos, block);
-            dense_symbols_ += block;
-        } else {
-            feedSparse(data + pos, block);
-            sparse_symbols_ += block;
-        }
-        pos += block;
-
-        if (auto_kernel && n_states > 0 && block > 0) {
-            double sample = static_cast<double>(frontierSize()) /
-                static_cast<double>(n_states);
-            density_ewma_ = opts_.autoEwmaAlpha * sample +
-                (1.0 - opts_.autoEwmaAlpha) * density_ewma_;
-        }
-    }
-}
-
-void
-MatchEngine::feedSparse(const uint8_t *data, size_t size)
-{
-    if (ctx_->scored())
-        feedSparseImpl<true>(data, size);
-    else
-        feedSparseImpl<false>(data, size);
-}
-
-template <bool Scored>
-void
-MatchEngine::feedSparseImpl(const uint8_t *data, size_t size)
-{
-    const MatchContext &cx = *ctx_;
-    const uint64_t *labels = cx.labels_.data();
-    const uint64_t *report_info = cx.report_info_.data();
-    const uint32_t *succ_xadj = cx.succ_xadj_.data();
-    const StateId *succ = cx.succ_.data();
-
-    for (size_t i = 0; i < size; ++i) {
-        uint8_t c = data[i];
-        const uint64_t label_bit = uint64_t{1} << (c & 63);
-        const size_t label_word = c >> 6;
-
-        active_scratch_.clear();
-        for (StateId s : enabled_) {
-            if (!(labels[s * 4 + label_word] & label_bit))
-                continue;
-            active_scratch_.push_back(s);
-            if (collect_ && (report_info[s] & 1)) {
-                if constexpr (Scored)
-                    cycle_report_scored_.emplace_back(s, score_cur_[s]);
-                else
-                    cycle_report_scratch_.push_back(s);
-            }
-        }
-        if constexpr (Scored)
-            emitCycleReportsScored();
-        else
-            emitCycleReports();
-
-        // Transition phase: clear only the bits set last cycle.
-        for (StateId s : enabled_)
-            enabled_mask_.resetUnchecked(s);
-        enabled_.clear();
-        for (StateId s : active_scratch_) {
-            uint32_t end = succ_xadj[s + 1];
-            for (uint32_t e = succ_xadj[s]; e < end; ++e) {
-                StateId t = succ[e];
-                if constexpr (Scored) {
-                    const Score cand = score_cur_[s] +
-                        static_cast<Score>(cx.succ_w_[e]);
-                    if (!enabled_mask_.testUnchecked(t)) {
-                        enabled_mask_.setUnchecked(t);
-                        enabled_.push_back(t);
-                        score_nxt_[t] = cand;
-                    } else {
-                        score_nxt_[t] = scoreCombine(
-                            opts_.semiring, score_nxt_[t], cand);
-                    }
-                } else {
-                    if (!enabled_mask_.testUnchecked(t)) {
-                        enabled_mask_.setUnchecked(t);
-                        enabled_.push_back(t);
-                    }
-                }
-            }
-        }
-        for (StateId s : cx.all_input_) {
-            if constexpr (Scored) {
-                const Score w = static_cast<Score>(cx.start_w_[s]);
-                if (!enabled_mask_.testUnchecked(s)) {
-                    enabled_mask_.setUnchecked(s);
-                    enabled_.push_back(s);
-                    score_nxt_[s] = w;
-                } else {
-                    score_nxt_[s] =
-                        scoreCombine(opts_.semiring, score_nxt_[s], w);
-                }
-            } else {
-                if (!enabled_mask_.testUnchecked(s)) {
-                    enabled_mask_.setUnchecked(s);
-                    enabled_.push_back(s);
-                }
-            }
-        }
-        if constexpr (Scored)
-            score_cur_.swap(score_nxt_);
-        ++offset_;
-    }
-}
-
-void
-MatchEngine::feedDense(const uint8_t *data, size_t size)
-{
-    if (ctx_->scored())
-        feedDenseImpl<true>(data, size);
-    else
-        feedDenseImpl<false>(data, size);
-}
-
-template <bool Scored>
-void
-MatchEngine::feedDenseImpl(const uint8_t *data, size_t size)
-{
-    const MatchContext &cx = *ctx_;
-    const uint32_t P = cx.dense_partitions_;
-    const size_t words = static_cast<size_t>(P) * kWordsPerPartition;
-    uint64_t *cur = dense_cur_.raw().data();
-    uint64_t *nxt = dense_nxt_.raw().data();
-    const uint64_t *rep_mask = cx.dense_report_.data();
-    const uint64_t *lswitch = cx.dense_lswitch_.data();
-    Score *scur = Scored ? dense_score_cur_.data() : nullptr;
-    Score *snxt = Scored ? dense_score_nxt_.data() : nullptr;
-
-    for (size_t i = 0; i < size; ++i) {
-        uint8_t c = data[i];
-        std::fill(nxt, nxt + words, 0);
-        [[maybe_unused]] uint64_t score_epoch = 0;
-        if constexpr (Scored)
-            score_epoch = ++dense_epoch_counter_;
-
-        const uint64_t *rows = &cx.dense_rows_[static_cast<size_t>(c) *
-                                               words];
-        for (uint32_t p = 0; p < P; ++p) {
-            const size_t base = static_cast<size_t>(p) *
-                kWordsPerPartition;
-            const uint64_t e0 = cur[base + 0];
-            const uint64_t e1 = cur[base + 1];
-            const uint64_t e2 = cur[base + 2];
-            const uint64_t e3 = cur[base + 3];
-            if (!(e0 | e1 | e2 | e3))
-                continue;
-            // The §2.2 row read: the SRAM row *is* the match vector.
-            uint64_t m[4] = {e0 & rows[base + 0], e1 & rows[base + 1],
-                             e2 & rows[base + 2], e3 & rows[base + 3]};
-            if (!(m[0] | m[1] | m[2] | m[3]))
-                continue;
-            for (int w = 0; w < 4; ++w) {
-                uint64_t mw = m[w];
-                if (!mw)
-                    continue;
-                if (collect_) {
-                    uint64_t rw = mw & rep_mask[base + w];
-                    while (rw) {
-                        int b = std::countr_zero(rw);
-                        uint32_t di = static_cast<uint32_t>(
-                            (base + static_cast<size_t>(w)) * 64 +
-                            static_cast<size_t>(b));
-                        if constexpr (Scored)
-                            cycle_report_scored_.emplace_back(
-                                cx.state_of_dense_[di], scur[di]);
-                        else
-                            cycle_report_scratch_.push_back(
-                                cx.state_of_dense_[di]);
-                        rw &= rw - 1;
-                    }
-                }
-                // Matched states drive their L-switch rows and their
-                // few G-switch wires.
-                while (mw) {
-                    int b = std::countr_zero(mw);
-                    uint32_t di = static_cast<uint32_t>(
-                        (base + static_cast<size_t>(w)) * 64 +
-                        static_cast<size_t>(b));
-                    const uint64_t *row = lswitch +
-                        static_cast<size_t>(di) * kWordsPerPartition;
-                    nxt[base + 0] |= row[0];
-                    nxt[base + 1] |= row[1];
-                    nxt[base + 2] |= row[2];
-                    nxt[base + 3] |= row[3];
-                    for (uint32_t e = cx.dense_cross_xadj_[di];
-                         e < cx.dense_cross_xadj_[di + 1]; ++e) {
-                        uint32_t ti = cx.dense_cross_[e];
-                        nxt[ti >> 6] |= uint64_t{1} << (ti & 63);
-                    }
-                    if constexpr (Scored) {
-                        // Scalar score propagation via the successor
-                        // CSR; the epoch array discriminates first
-                        // write from ⊕-combine.
-                        const StateId s = cx.state_of_dense_[di];
-                        const Score from = scur[di];
-                        const uint32_t end = cx.succ_xadj_[s + 1];
-                        for (uint32_t e = cx.succ_xadj_[s]; e < end;
-                             ++e) {
-                            const uint32_t ti =
-                                cx.dense_index_of_[cx.succ_[e]];
-                            const Score cand = from +
-                                static_cast<Score>(cx.succ_w_[e]);
-                            if (dense_score_epoch_[ti] != score_epoch) {
-                                dense_score_epoch_[ti] = score_epoch;
-                                snxt[ti] = cand;
-                            } else {
-                                snxt[ti] = scoreCombine(
-                                    opts_.semiring, snxt[ti], cand);
-                            }
-                        }
-                    }
-                    mw &= mw - 1;
-                }
-            }
-        }
-        if constexpr (Scored)
-            emitCycleReportsScored();
-        else
-            emitCycleReports();
-
-        for (const auto &[w, mask] : cx.dense_allinput_words_)
-            nxt[w] |= mask;
-        if constexpr (Scored) {
-            for (StateId s : cx.all_input_) {
-                const uint32_t ti = cx.dense_index_of_[s];
-                const Score w = static_cast<Score>(cx.start_w_[s]);
-                if (dense_score_epoch_[ti] != score_epoch) {
-                    dense_score_epoch_[ti] = score_epoch;
-                    snxt[ti] = w;
-                } else {
-                    snxt[ti] =
-                        scoreCombine(opts_.semiring, snxt[ti], w);
-                }
-            }
-        }
-
-        std::swap(cur, nxt);
-        if constexpr (Scored)
-            std::swap(scur, snxt);
-        ++offset_;
-    }
-    // An odd symbol count leaves the live frontier in dense_nxt_'s
-    // storage; swap the vectors so dense_cur_ owns it again.
-    if (cur != dense_cur_.raw().data())
-        std::swap(dense_cur_, dense_nxt_);
-    if constexpr (Scored) {
-        if (scur != dense_score_cur_.data())
-            dense_score_cur_.swap(dense_score_nxt_);
-    }
+    return fired;
 }
 
 } // namespace ca::match

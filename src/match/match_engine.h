@@ -1,55 +1,162 @@
 /**
  * @file
- * Functional match engine (docs/MATCH.md).
+ * Match engine: the one implementation of the per-symbol step
+ * (docs/MATCH.md).
  *
- * The serving-path counterpart of the cycle-accurate simulator: the same
- * frontier semantics and the same bit-identical report stream, with none
- * of the architecture model (no FIFO-refill accounting, no output-buffer
- * interrupts, no per-cycle activity counters feeding the energy model).
- * `CacheAutomatonSim` answers "what would the hardware do, cycle by
- * cycle"; `MatchEngine` answers "which reports fire, as fast as this CPU
- * can compute them". tests/match_test.cpp holds the two report-identical
- * on randomized automata under every kernel.
+ * `MatchContext` holds the immutable per-automaton tables (flattened
+ * labels/successors plus the dense §2.2 row-read tables), and
+ * `MatchEngine` runs one stream's frontier over them with the sparse
+ * and dense kernels and the Auto selector (DESIGN.md §7). N engines
+ * running chunks of one stream in parallel, or N runtime workers
+ * serving many streams, share one copy of the tables and carry only
+ * their own frontier.
  *
- * The immutable per-automaton tables (flattened labels/successors plus
- * the dense §2.2 row-read tables) live in a shared `MatchContext`, so N
- * engines running chunks of one stream in parallel share one copy of
- * the tables and carry only their own frontier.
+ * The kernels are templated on an observer policy. `feed(data, size)`
+ * runs them with `NullObserver`, whose hooks compile away: the
+ * functional engine computes the enabled frontier and the report
+ * stream and nothing else. The cycle-accurate `CacheAutomatonSim`
+ * (src/sim) is this engine plus an observer that does the §2.8/§5.3
+ * hardware accounting, so the two are report-identical by
+ * construction.
  */
 #ifndef CA_MATCH_MATCH_ENGINE_H
 #define CA_MATCH_MATCH_ENGINE_H
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "baseline/nfa_engine.h"
 #include "compiler/mapping.h"
 #include "core/bitvector.h"
-#include "sim/engine.h"
+#include "score/semiring.h"
+
+namespace ca {
+
+/**
+ * Execution kernel for the per-symbol step (DESIGN.md §7).
+ *
+ *  - Sparse: iterate the enabled-state frontier; O(active states) per
+ *    symbol. Wins when few states are active (DFA-like automata).
+ *  - Dense: bit-parallel §2.2 row-read model — per-partition 256-entry
+ *    symbol→match-mask tables and per-state successor masks, stepped
+ *    with whole 64-bit words. Cost is O(partitions) per symbol
+ *    regardless of activity; wins on high-activity automata (Fermi,
+ *    SPM, Protomata-class).
+ *  - Auto: per-block selection on an EWMA of enabled-frontier density
+ *    (enabled states ÷ total states) — the sparse kernel's actual cost
+ *    driver, which includes always-enabled all-input start states.
+ *
+ * All kernels are bit-identical: same report stream, same activity
+ * counters (enforced against the CPU oracle by tests/kernel_test.cpp).
+ * The CA_SIM_KERNEL environment variable ("sparse"/"dense"/"auto"),
+ * when set, overrides the option for the simulator and for every
+ * StreamServer engine — CI uses it to run the whole sim suite under
+ * every kernel.
+ */
+enum class SimKernel : uint8_t
+{
+    Sparse,
+    Dense,
+    Auto,
+};
+
+/** Parses "sparse"/"dense"/"auto"; nullopt on anything else. */
+std::optional<SimKernel> parseKernelName(std::string_view name);
+
+/** The kernel's canonical spelling ("sparse"/"dense"/"auto"). */
+const char *kernelName(SimKernel k);
+
+/**
+ * The $CA_SIM_KERNEL override, parsed once per process (CI uses it to
+ * run the whole sim suite under every kernel). Unrecognized values warn
+ * once and fall back to Auto — a typo in a CI matrix must be loud, but
+ * pinning the run to a kernel that doesn't exist would be worse.
+ * Returns nullopt only when the variable is unset/empty.
+ */
+std::optional<SimKernel> simKernelEnvOverride();
+
+/**
+ * Live Auto-kernel decision introspection (docs/OBSERVABILITY.md).
+ *
+ * Cumulative since engine construction: unlike SimResult's counters,
+ * these survive reset()/restore(), because they describe the *engine as
+ * a resource* (a runtime worker restores a different session's
+ * checkpoint into the same engine many times per second, and the
+ * interesting question — "is the Auto kernel flapping on this worker?" —
+ * spans those restores). Bytes of a dead stream, which the engine skips
+ * without stepping, count toward the kernel their block was assigned,
+ * so sparse plus dense symbols equal every byte the engine was fed.
+ */
+struct KernelDecisionStats
+{
+    uint64_t sparseBlocks = 0;   ///< Blocks dispatched to the sparse kernel.
+    uint64_t denseBlocks = 0;    ///< Blocks dispatched to the dense kernel.
+    uint64_t sparseSymbols = 0;
+    uint64_t denseSymbols = 0;
+    uint64_t kernelFlips = 0;    ///< Consecutive blocks on different kernels.
+    double densityEwma = 0.0;    ///< Current frontier-density EWMA.
+    int lastKernel = -1;         ///< -1 none yet, 0 sparse, 1 dense.
+};
+
+/**
+ * Suspend/resume snapshot (§2.9): the active-state vector (here: the
+ * enabled frontier) and the input symbol counter. Restoring into a fresh
+ * engine or simulator bound to the same mapped automaton continues the
+ * stream exactly where it left off.
+ */
+struct SimCheckpoint
+{
+    uint64_t symbolOffset = 0;
+    std::vector<StateId> enabledStates;
+    /**
+     * Per-state accumulated scores, parallel to enabledStates. Empty for
+     * unweighted automata (and accepted as all-zero on restore into a
+     * weighted one); otherwise the same length as enabledStates.
+     */
+    std::vector<Score> enabledScores;
+};
+
+} // namespace ca
 
 namespace ca::match {
 
-/** Engine controls (a functional subset of SimOptions). */
+/** Engine controls: the kernel choice and the Auto selector's knobs. */
 struct MatchOptions
 {
-    /** Per-symbol stepper; Auto re-decides per block on frontier density. */
+    /**
+     * Per-symbol stepper; Auto re-decides per block on frontier density.
+     * CacheAutomatonSim and StreamServer apply $CA_SIM_KERNEL on top.
+     */
     SimKernel kernel = SimKernel::Auto;
-    /** Auto: dense while the density EWMA exceeds this (see SimOptions). */
+    /**
+     * Auto: run the dense kernel while the EWMA of enabled-frontier
+     * density (enabled states ÷ total states) exceeds this. The default
+     * sits in the measured crossover band (bench_kernel_comparison:
+     * sparse still wins at ~0.011, dense from ~0.025 — about 3-6
+     * enabled states per 256-slot partition, since one sparse state
+     * visit costs several of the dense scan's sequential word ops).
+     */
     double autoDensityThreshold = 0.02;
     /** Auto: EWMA smoothing factor for per-block density samples. */
     double autoEwmaAlpha = 0.25;
     /** Auto: symbols per block between kernel re-evaluations. */
     uint32_t autoBlockSymbols = 4096;
-    /** ⊕ for weighted automata (ignored for unweighted ones). */
+    /**
+     * ⊕ for weighted automata (docs/SCORING.md): how alternative path
+     * scores into one state combine. Ignored (zero-cost) when the bound
+     * automaton carries no weights — unweighted rulesets run the exact
+     * unscored kernels.
+     */
     ScoreSemiring semiring = ScoreSemiring::MaxPlus;
 };
 
 /**
  * Immutable per-automaton tables shared by every MatchEngine bound to
- * the same mapped automaton. Construction flattens the NFA exactly the
- * way CacheAutomatonSim does (same layouts, same dense geometry) and
- * additionally precomputes the two frontier sets the speculative
+ * the same mapped automaton, plus the two frontier sets the speculative
  * chunk-parallel matcher needs:
  *
  *  - startFrontier(): the exact offset-0 frontier (StartOfData and
@@ -81,6 +188,12 @@ class MatchContext
     /** False when the mapping's geometry rules out the dense kernel. */
     bool denseAvailable() const { return dense_available_; }
 
+    /**
+     * State @p s's bit in the dense frontier (partition * 256 + slot);
+     * meaningful only when denseAvailable().
+     */
+    uint32_t denseIndex(StateId s) const { return dense_index_of_[s]; }
+
     /** True when the bound automaton carries transition weights. */
     bool scored() const { return scored_; }
 
@@ -107,7 +220,7 @@ class MatchContext
     const MappedAutomaton &mapped_;
     size_t num_states_ = 0;
 
-    // Sparse tables (layouts shared with CacheAutomatonSim).
+    // Sparse tables.
     std::vector<StateId> all_input_;
     /** Flat 4-word label images: labels_[s*4 + w]. */
     std::vector<uint64_t> labels_;
@@ -147,12 +260,46 @@ class MatchContext
 };
 
 /**
+ * The kernel observer policy with every hook a no-op: what
+ * MatchEngine::feed(data, size) runs with, so the functional engine's
+ * kernels carry no accounting at all. It also documents the hooks a
+ * policy provides; the steppers call them at the points the §2.8/§5.3
+ * hardware model counts (src/sim's ActivityObserver implements them).
+ */
+struct NullObserver
+{
+    /**
+     * True when firing states must be gathered even with report
+     * collection off (the output buffer still counts them).
+     */
+    static constexpr bool kCountsReports = false;
+
+    /** The next @p symbols bytes run as one block on the named kernel. */
+    void block(bool /*dense*/, size_t /*symbols*/) {}
+    /**
+     * A dead stream (empty frontier, no all-input starts) skips
+     * @p symbols cycles starting at @p offset without stepping them.
+     */
+    void skip(uint64_t /*offset*/, size_t /*symbols*/) {}
+    /** Sparse kernel: the enabled frontier the next symbol tests. */
+    void sparseFrontier(const std::vector<StateId> & /*enabled*/) {}
+    /** Sparse kernel: state @p s matched the symbol. */
+    void sparseMatch(StateId /*s*/) {}
+    /** Dense kernel: a partition with enabled states (its 4 words). */
+    void densePartition(uint64_t, uint64_t, uint64_t, uint64_t) {}
+    /** Dense kernel: the matched bits of dense frontier word @p word. */
+    void denseMatch(size_t /*word*/, uint64_t /*matched*/) {}
+    /** The symbol at @p offset finished; @p fired states reported. */
+    void symbolEnd(uint64_t /*offset*/, size_t /*fired*/) {}
+};
+
+/**
  * One stream's worth of mutable match state over a shared MatchContext.
  * Cheap to construct (O(states) bitvectors, no table builds); a thread
- * pool keeps one per worker and reuses it across chunks via setState().
+ * pool keeps one per worker and reuses it across chunks and sessions.
  *
- * Semantics contract (identical to CacheAutomatonSim and the CPU
- * oracle): a report fires at the offset of the symbol that activated
+ * Semantics contract (shared with CacheAutomatonSim and the CPU
+ * oracles): a report fires at the offset of the symbol that activated
  * the reporting state, and within one symbol reports are emitted in
  * ascending state-id order.
  */
@@ -167,22 +314,36 @@ class MatchEngine
 
     /**
      * Loads an arbitrary frontier at an arbitrary offset (the chunk-
-     * parallel join's primitive; also the checkpoint-restore path).
-     * Clears pending reports. @p frontier need not be sorted; duplicate
-     * and out-of-range entries are rejected.
+     * parallel join's primitive). Clears pending reports. @p frontier
+     * need not be sorted; duplicates collapse, and an out-of-range
+     * state throws CaError.
      */
     void setState(const std::vector<StateId> &frontier, uint64_t offset);
 
     /**
      * setState with per-state accumulated scores, parallel to
-     * @p frontier (the scored checkpoint-restore path). An empty
-     * @p scores means all-zero; otherwise sizes must match.
+     * @p frontier. An empty @p scores means all-zero; otherwise sizes
+     * must match.
      */
     void setState(const std::vector<StateId> &frontier,
                   const std::vector<Score> &scores, uint64_t offset);
 
+    /** Captures the §2.9 suspend state (sorted frontier, scores, offset). */
+    SimCheckpoint checkpoint() const;
+
+    /** setState() from a checkpoint of an engine on the same automaton. */
+    void restore(const SimCheckpoint &ckpt);
+
     /** Consumes one chunk of the stream; callable repeatedly. */
     void feed(const uint8_t *data, size_t size);
+
+    /**
+     * feed() with a kernel observer (see NullObserver for the hooks).
+     * Defined in match/kernels.h, which a caller instantiating a new
+     * observer type includes.
+     */
+    template <class Obs>
+    void feed(const uint8_t *data, size_t size, Obs &obs);
 
     /** Moves out the reports accumulated since the last setState/take. */
     std::vector<Report> takeReports();
@@ -206,27 +367,45 @@ class MatchEngine
     /** Absolute stream position: the offset the next symbol gets. */
     uint64_t streamOffset() const { return offset_; }
 
-    /** Kernel accounting (tests + bench introspection). */
-    uint64_t sparseSymbols() const { return sparse_symbols_; }
-    uint64_t denseSymbols() const { return dense_symbols_; }
+    /** Symbols fed per kernel since construction (kernelStats()). */
+    uint64_t sparseSymbols() const;
+    uint64_t denseSymbols() const;
+
+    /**
+     * Point-in-time copy of the per-block kernel-decision counters.
+     * Safe to call from another thread while feed() runs (the fields
+     * are kept in relaxed atomics and read individually, so the copy is
+     * approximately — not transactionally — consistent).
+     */
+    KernelDecisionStats kernelStats() const;
 
     const MatchContext &context() const { return *ctx_; }
 
   private:
     /** Steppers, instantiated scored/unscored at compile time (the
         Scored=false bodies are the exact unweighted kernels). */
-    template <bool Scored>
-    void feedSparseImpl(const uint8_t *data, size_t size);
-    template <bool Scored>
-    void feedDenseImpl(const uint8_t *data, size_t size);
-    void feedSparse(const uint8_t *data, size_t size);
-    void feedDense(const uint8_t *data, size_t size);
-    void emitCycleReports();
-    void emitCycleReportsScored();
+    template <bool Scored, class Obs>
+    void feedSparseImpl(const uint8_t *data, size_t size, Obs &obs);
+    template <bool Scored, class Obs>
+    void feedDenseImpl(const uint8_t *data, size_t size, Obs &obs);
+
+    /**
+     * Emits the symbol's reports in canonical (ascending state id)
+     * order when collecting; returns how many states fired.
+     */
+    size_t emitCycleReports();
+    /** Scored twin of emitCycleReports (same order, score payloads). */
+    size_t emitCycleReportsScored();
+    /** True when the next block should run the dense kernel. */
     bool chooseDense();
+    /** Moves the live frontier between representations. */
     void syncDenseFromSparse();
     void syncSparseFromDense();
     size_t frontierSize() const;
+    /** Engine-lifetime decision counters for one dispatched block. */
+    void countBlock(bool dense, size_t symbols);
+    /** Feeds the block's end-of-block frontier density to the EWMA. */
+    void sampleDensity();
 
     std::shared_ptr<const MatchContext> ctx_;
     MatchOptions opts_;
@@ -236,7 +415,9 @@ class MatchEngine
     std::vector<StateId> enabled_;
     BitVector enabled_mask_;
     std::vector<StateId> active_scratch_;
+    /** States that fired this cycle (sorted before emission). */
     std::vector<StateId> cycle_report_scratch_;
+    /** Scored twin: (state, score) pairs, sorted by state. */
     std::vector<std::pair<StateId, Score>> cycle_report_scored_;
 
     // Dense frontier representation.
@@ -245,10 +426,13 @@ class MatchEngine
     bool dense_active_ = false;
 
     // Scored-frontier state (allocated only for weighted automata).
+    // Sparse scores are state-indexed, valid where enabled_mask_ is set;
+    // dense scores are dense-indexed, valid where dense_cur_ is set.
     std::vector<Score> score_cur_;
     std::vector<Score> score_nxt_;
     std::vector<Score> dense_score_cur_;
     std::vector<Score> dense_score_nxt_;
+    /** First-write-vs-combine discriminator for dense score targets. */
     std::vector<uint64_t> dense_score_epoch_;
     uint64_t dense_epoch_counter_ = 0;
 
@@ -257,9 +441,18 @@ class MatchEngine
     bool density_seeded_ = false;
 
     uint64_t offset_ = 0;
-    uint64_t sparse_symbols_ = 0;
-    uint64_t dense_symbols_ = 0;
     std::vector<Report> reports_;
+
+    // Engine-lifetime kernel-decision counters behind kernelStats().
+    // Relaxed atomics: written once per block on the feeding thread,
+    // read concurrently by StreamServer::inspect().
+    std::atomic<uint64_t> ks_sparse_blocks_{0};
+    std::atomic<uint64_t> ks_dense_blocks_{0};
+    std::atomic<uint64_t> ks_sparse_symbols_{0};
+    std::atomic<uint64_t> ks_dense_symbols_{0};
+    std::atomic<uint64_t> ks_flips_{0};
+    std::atomic<double> ks_density_{0.0};
+    std::atomic<int> ks_last_{-1};
 };
 
 } // namespace ca::match

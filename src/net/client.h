@@ -17,7 +17,7 @@
  *
  * Determinism contract (tests/net_test.cpp): the concatenation of
  * reports(stream) after flush/close is byte-identical to a
- * single-threaded CacheAutomatonSim::run() over the same bytes.
+ * single-threaded run of the CPU oracle over the same bytes.
  */
 #ifndef CA_NET_CLIENT_H
 #define CA_NET_CLIENT_H

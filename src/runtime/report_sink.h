@@ -6,7 +6,7 @@
  * report buffer (§2.8); in the runtime that drain is a ReportSink. A
  * worker delivers each session's reports in stream order — the sequence
  * of onReports() calls for one session, concatenated, is byte-identical
- * to a single-threaded CacheAutomatonSim::run() on the same input
+ * to a single-threaded run of the CPU oracle on the same input
  * (docs/RUNTIME.md, "Determinism").
  *
  * Calls for *different* sessions arrive concurrently from different

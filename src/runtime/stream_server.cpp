@@ -9,23 +9,18 @@
 
 namespace ca::runtime {
 
-namespace {
-
-/** Null-checks before the delegating ctor dereferences. */
-const MappedAutomaton &
-requireAutomaton(const std::shared_ptr<const MappedAutomaton> &mapped)
+StreamServer::StreamServer(const MappedAutomaton &mapped,
+                           const StreamServerOptions &opts)
+    : StreamServer(std::make_shared<const match::MatchContext>(mapped), opts)
 {
-    CA_FATAL_IF(!mapped, "StreamServer: null mapped automaton");
-    return *mapped;
 }
-
-} // namespace
 
 StreamServer::StreamServer(std::shared_ptr<const MappedAutomaton> mapped,
                            const StreamServerOptions &opts)
-    : StreamServer(requireAutomaton(mapped), opts)
+    : StreamServer(
+          std::make_shared<const match::MatchContext>(std::move(mapped)),
+          opts)
 {
-    owned_ = std::move(mapped);
 }
 
 std::unique_ptr<StreamServer>
@@ -38,9 +33,9 @@ StreamServer::fromArtifact(const std::string &path,
                                           opts);
 }
 
-StreamServer::StreamServer(const MappedAutomaton &mapped,
+StreamServer::StreamServer(std::shared_ptr<const match::MatchContext> ctx,
                            const StreamServerOptions &opts)
-    : mapped_(mapped), opts_(opts)
+    : ctx_(std::move(ctx)), opts_(opts)
 {
     if (opts_.workers == 0)
         opts_.workers = 1;
@@ -48,50 +43,35 @@ StreamServer::StreamServer(const MappedAutomaton &mapped,
         opts_.sessionQueueDepth = 1;
     if (opts_.sliceSymbols == 0)
         opts_.sliceSymbols = 1;
-    // Reports are the product; the sink is the §2.8 output-buffer drain.
-    opts_.sim.collectReports = true;
     if (opts_.matchParallelMinBytes == 0)
         opts_.matchParallelMinBytes = 1;
     if (std::optional<size_t> env = match::matchParallelEnvOverride())
         opts_.matchParallelism = *env;
+    // $CA_SIM_KERNEL pins every engine below, as it pins the simulator.
+    if (std::optional<SimKernel> k = simKernelEnvOverride())
+        opts_.sim.kernel = *k;
 
-    // The checkpoint a fresh session starts from: offset 0, the start
-    // frontier (restore()-ing it is identical to reset()). Weighted
-    // automata additionally seed each start state's startWeight so a
-    // resumed session scores identically to a reset() one.
-    const Nfa &nfa = mapped_.nfa();
-    const bool scored = nfa.hasWeights();
-    for (StateId s = 0; s < nfa.numStates(); ++s)
-        if (nfa.state(s).start != StartType::None) {
-            initial_checkpoint_.enabledStates.push_back(s);
-            if (scored)
-                initial_checkpoint_.enabledScores.push_back(
-                    nfa.state(s).startWeight);
-        }
+    engines_.reserve(opts_.workers);
+    for (size_t i = 0; i < opts_.workers; ++i)
+        engines_.push_back(
+            std::make_unique<match::MatchEngine>(ctx_, opts_.sim));
+    // A fresh engine holds the start frontier (with each start state's
+    // startWeight on weighted automata): every new session's state.
+    initial_checkpoint_ = engines_.front()->checkpoint();
 
     // The ParallelMatcher hands state between chunks as a bare frontier;
     // that drops accumulated scores, so weighted automata stay on the
     // per-worker serial engines (whose checkpoints carry scores).
-    if (opts_.matchParallelism > 1 && !scored) {
+    if (opts_.matchParallelism > 1 && !ctx_->scored()) {
         match::ParallelOptions popts;
         popts.degree = opts_.matchParallelism;
-        // The functional engines honor the same kernel choice (and the
-        // same $CA_SIM_KERNEL override) as the per-worker simulators.
-        popts.engine.kernel = opts_.sim.kernel;
-        if (std::optional<SimKernel> k = simKernelEnvOverride())
-            popts.engine.kernel = *k;
-        popts.engine.autoDensityThreshold = opts_.sim.autoDensityThreshold;
-        popts.engine.autoEwmaAlpha = opts_.sim.autoEwmaAlpha;
-        popts.engine.autoBlockSymbols = opts_.sim.autoBlockSymbols;
-        match_ctx_ = std::make_shared<match::MatchContext>(mapped_);
-        matcher_ = std::make_unique<match::ParallelMatcher>(match_ctx_,
-                                                            popts);
+        popts.engine = opts_.sim;
+        matcher_ = std::make_unique<match::ParallelMatcher>(ctx_, popts);
         opts_.matchParallelism = matcher_->degree();
     } else {
         opts_.matchParallelism = 0;
     }
 
-    worker_sims_.assign(opts_.workers, nullptr);
     workers_.reserve(opts_.workers);
     for (size_t i = 0; i < opts_.workers; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
@@ -126,10 +106,19 @@ StreamServer::open(ReportSink &sink)
 StreamSession &
 StreamServer::open(ReportSink &sink, const SimCheckpoint &resume_from)
 {
+    // Validate here, on the caller's thread: a checkpoint the engine
+    // rejects would otherwise throw on a worker thread at the first
+    // slice, where nothing can catch it.
     for (StateId s : resume_from.enabledStates)
-        CA_FATAL_IF(s >= mapped_.nfa().numStates(),
+        CA_FATAL_IF(s >= ctx_->numStates(),
                     "resume checkpoint references state "
                         << s << " outside automaton");
+    CA_FATAL_IF(!resume_from.enabledScores.empty() &&
+                    resume_from.enabledScores.size() !=
+                        resume_from.enabledStates.size(),
+                "resume checkpoint has "
+                    << resume_from.enabledStates.size() << " states but "
+                    << resume_from.enabledScores.size() << " scores");
     StreamSession &session = open(sink);
     // No worker has seen the session yet, so its suspended state can be
     // seeded without locking.
@@ -170,11 +159,10 @@ StreamServer::inspect() const
         sessions.reserve(sessions_.size());
         for (const auto &s : sessions_)
             sessions.push_back(s.get());
-        out.kernels.reserve(worker_sims_.size());
-        for (const CacheAutomatonSim *sim : worker_sims_)
-            out.kernels.push_back(sim != nullptr ? sim->kernelStats()
-                                                 : KernelDecisionStats{});
     }
+    out.kernels.reserve(engines_.size());
+    for (const auto &engine : engines_)
+        out.kernels.push_back(engine->kernelStats());
     if (matcher_) {
         out.matchParallelism = matcher_->degree();
         out.match = matcher_->stats();
@@ -201,14 +189,9 @@ StreamServer::schedule(StreamSession *session)
 void
 StreamServer::workerLoop(size_t worker_index)
 {
-    // One engine per worker, all bound to the shared read-only mapped
-    // automaton; per-stream state arrives as a SimCheckpoint.
-    CacheAutomatonSim sim(mapped_, opts_.sim);
-    {
-        // Register for inspect()'s kernel-decision section.
-        std::lock_guard<std::mutex> lock(sessions_mutex_);
-        worker_sims_[worker_index] = &sim;
-    }
+    // Per-stream state arrives as a SimCheckpoint; the engine only ever
+    // holds the state of the session it is running.
+    match::MatchEngine &engine = *engines_[worker_index];
     std::vector<uint8_t> buf;
     buf.reserve(static_cast<size_t>(
         std::min<uint64_t>(opts_.sliceSymbols, 1u << 20)));
@@ -225,12 +208,12 @@ StreamServer::workerLoop(size_t worker_index)
             session = run_queue_.front();
             run_queue_.pop_front();
         }
-        runSlice(*session, sim, worker_index, buf);
+        runSlice(*session, engine, worker_index, buf);
     }
 }
 
 void
-StreamServer::runSlice(StreamSession &s, CacheAutomatonSim &sim,
+StreamServer::runSlice(StreamSession &s, match::MatchEngine &engine,
                        size_t worker_index, std::vector<uint8_t> &buf)
 {
     CA_TRACE_SCOPE_CAT("ca.runtime.slice", "ca.runtime");
@@ -257,51 +240,40 @@ StreamServer::runSlice(StreamSession &s, CacheAutomatonSim &sim,
         budget *= matcher_->degree();
     uint64_t fed = 0;
     std::vector<Report> reports;
+    auto append = [&reports](std::vector<Report> r) {
+        if (reports.empty())
+            reports = std::move(r);
+        else
+            reports.insert(reports.end(), r.begin(), r.end());
+    };
 
     // The session's automaton state lives in s.checkpoint_; only the
-    // worker owning Running touches it. Large gathered chunks route to
-    // the shared ParallelMatcher (checkpoint in, checkpoint out); the
-    // rest run on this worker's serial engine, restored lazily (§2.9)
-    // and parked back into the checkpoint when the matcher takes over
-    // or the slice ends.
-    bool sim_loaded = false;
-    auto parkSim = [&] {
-        if (!sim_loaded)
-            return;
-        s.checkpoint_ = sim.checkpoint();
-        std::vector<Report> r = sim.takeReports();
-        reports.insert(reports.end(), r.begin(), r.end());
-        sim_loaded = false;
-    };
+    // worker owning Running touches it. Resume it (§2.9) into this
+    // worker's engine for the slice, and suspend it back at the end.
+    engine.restore(s.checkpoint_);
     while (budget > 0) {
         size_t n = s.takeInput(buf, static_cast<size_t>(budget));
         if (n == 0)
             break;
-        if (matcher_ && n >= opts_.matchParallelMinBytes) {
-            parkSim();
-            // tryMatch: if another session holds the matcher, fall
-            // through to the serial engine instead of queueing.
-            if (std::optional<match::MatchResult> r = matcher_->tryMatch(
-                    s.checkpoint_.enabledStates,
-                    s.checkpoint_.symbolOffset, buf.data(), n)) {
-                s.checkpoint_.enabledStates = std::move(r->frontier);
-                s.checkpoint_.symbolOffset = r->endOffset;
-                reports.insert(reports.end(), r->reports.begin(),
-                               r->reports.end());
-                fed += n;
-                budget -= n;
-                continue;
-            }
+        // Large gathered chunks route to the shared ParallelMatcher.
+        // tryMatch: if another session holds the matcher, fall through
+        // to the serial engine instead of queueing.
+        std::optional<match::MatchResult> par;
+        if (matcher_ && n >= opts_.matchParallelMinBytes)
+            par = matcher_->tryMatch(engine.frontier(),
+                                     engine.streamOffset(), buf.data(), n);
+        if (par) {
+            append(engine.takeReports());
+            append(std::move(par->reports));
+            engine.setState(par->frontier, par->endOffset);
+        } else {
+            engine.feed(buf.data(), n);
         }
-        if (!sim_loaded) {
-            sim.restore(s.checkpoint_);
-            sim_loaded = true;
-        }
-        sim.feed(buf.data(), n);
         fed += n;
         budget -= n;
     }
-    parkSim();
+    append(engine.takeReports());
+    s.checkpoint_ = engine.checkpoint();
 
     // Suspend: the automaton state is saved, so drain the output buffer
     // to the sink in stream order (the session is not yet requeued, so

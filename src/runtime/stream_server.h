@@ -8,9 +8,14 @@
  * active-state vector so one accelerator serves many streams. The
  * StreamServer is that OS layer in software:
  *
- *   - One MappedAutomaton, shared read-only by every worker (each worker
- *     binds its own CacheAutomatonSim to it — the per-stream state is in
- *     the SimCheckpoint, not the automaton).
+ *   - One MatchContext per server: the mapped automaton's immutable
+ *     tables, built once and read by every worker engine and by the
+ *     ParallelMatcher.
+ *   - One match::MatchEngine per worker (the functional engine; the
+ *     cycle-accurate simulator's hardware accounting has no place on
+ *     the serving path). Per-stream state lives in each session's
+ *     SimCheckpoint, which a slice restores into the worker's engine
+ *     and checkpoints back.
  *   - N StreamSessions, each an independent stream with a bounded chunk
  *     queue and a ReportSink.
  *   - A fixed pool of workers executing sessions in round-robin
@@ -20,9 +25,9 @@
  *     fair progress.
  *
  * Determinism: each session's delivered report stream is byte-identical
- * to a single-threaded CacheAutomatonSim::run() over the concatenation
- * of its chunks, for every worker count, slice length, and scheduling
- * interleaving (enforced by tests/runtime_test.cpp).
+ * to a single-threaded run over the concatenation of its chunks, for
+ * every worker count, slice length, and scheduling interleaving
+ * (enforced by tests/runtime_test.cpp against the scored CPU oracle).
  */
 #ifndef CA_RUNTIME_STREAM_SERVER_H
 #define CA_RUNTIME_STREAM_SERVER_H
@@ -36,6 +41,7 @@
 #include <vector>
 
 #include "compiler/mapping.h"
+#include "match/match_engine.h"
 #include "match/parallel_matcher.h"
 #include "runtime/stream_session.h"
 #include "sim/engine.h"
@@ -55,11 +61,14 @@ struct StreamServerOptions
      */
     uint64_t sliceSymbols = 64 << 10;
     /**
-     * Simulator options for the per-worker engines, including the
-     * execution kernel (SimOptions::kernel — Sparse/Dense/Auto; with
-     * Auto each worker adapts per slice to the density of the streams
-     * it happens to run). collectReports is forced on (reports are the
-     * product; the sink is the drain).
+     * Kernel options for every engine the server runs (the per-worker
+     * engines and the ParallelMatcher's): the match::MatchOptions part —
+     * the kernel (Sparse/Dense/Auto; with Auto each worker adapts per
+     * slice to the density of the streams it happens to run), the Auto
+     * knobs and the semiring. $CA_SIM_KERNEL, when set, overrides the
+     * kernel. The hardware-model fields (collectReports, recordTrace,
+     * fifoRefillSymbols, outputBufferDepth) do not apply: workers run
+     * the functional engine, which always collects reports.
      */
     SimOptions sim;
     /**
@@ -151,6 +160,8 @@ class StreamServer
      * the first slice restore()s @p resume_from instead of resetting,
      * so report offsets continue the original stream's numbering. The
      * checkpoint must come from the same mapped automaton.
+     * @throws CaError when @p resume_from names a state outside the
+     * automaton or carries scores that are not parallel to its states.
      */
     StreamSession &open(ReportSink &sink,
                         const SimCheckpoint &resume_from);
@@ -159,7 +170,7 @@ class StreamServer
     void closeAll();
 
     size_t workerCount() const { return workers_.size(); }
-    const MappedAutomaton &mapped() const { return mapped_; }
+    const MappedAutomaton &mapped() const { return ctx_->mapped(); }
     const StreamServerOptions &options() const { return opts_; }
 
     ServerStats stats() const;
@@ -187,24 +198,29 @@ class StreamServer
 
     void workerLoop(size_t worker_index);
 
-    /** Runs one scheduling slice of @p session on @p sim. */
-    void runSlice(StreamSession &session, CacheAutomatonSim &sim,
+    /** Both public constructors: serves the automaton behind @p ctx. */
+    StreamServer(std::shared_ptr<const match::MatchContext> ctx,
+                 const StreamServerOptions &opts);
+
+    /** Runs one scheduling slice of @p session on @p engine. */
+    void runSlice(StreamSession &session, match::MatchEngine &engine,
                   size_t worker_index, std::vector<uint8_t> &buf);
 
-    /** Keeps a loaded automaton alive; null when bound by reference. */
-    std::shared_ptr<const MappedAutomaton> owned_;
-    const MappedAutomaton &mapped_;
+    /**
+     * The automaton's tables, shared by every engine below (and
+     * co-owning a loaded automaton).
+     */
+    std::shared_ptr<const match::MatchContext> ctx_;
     StreamServerOptions opts_;
-    /** Start-state frontier at offset 0: every session's first state. */
+    /** Every session's first state: offset 0, the start frontier. */
     SimCheckpoint initial_checkpoint_;
 
     /**
-     * Chunk-parallel matching (null when disabled): one MatchContext
-     * shares the flattened tables, one ParallelMatcher shares its
-     * engine pool across all sessions. tryMatch()'s non-blocking
-     * contract keeps concurrent sessions on their serial engines.
+     * Chunk-parallel matching (null when disabled): one ParallelMatcher
+     * shares its engine pool across all sessions. tryMatch()'s
+     * non-blocking contract keeps concurrent sessions on their serial
+     * engines.
      */
-    std::shared_ptr<const match::MatchContext> match_ctx_;
     std::unique_ptr<match::ParallelMatcher> matcher_;
 
     // Scheduler: run queue of sessions owed a slice.
@@ -221,13 +237,11 @@ class StreamServer
     ServerStats stats_; ///< Guarded by sessions_mutex_.
 
     /**
-     * Each worker's engine, registered at worker startup for
-     * inspect()'s kernel-decision section (guarded by sessions_mutex_;
-     * null until the worker has started). The pointers dangle once the
-     * destructor joins the workers, which is why inspect() must not
-     * race destruction.
+     * One engine per worker, indexed by worker id. Built with the
+     * server and never replaced, so inspect() reads their kernel
+     * counters without a lock.
      */
-    std::vector<const CacheAutomatonSim *> worker_sims_;
+    std::vector<std::unique_ptr<match::MatchEngine>> engines_;
 
     std::vector<std::thread> workers_;
 };

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "runtime/report_sink.h"
-#include "sim/engine.h"
+#include "match/match_engine.h"
 
 namespace ca::runtime {
 

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 
-#include "core/error.h"
-#include "core/logging.h"
+#include "match/kernels.h"
 #include "telemetry/telemetry.h"
 
 namespace ca {
@@ -91,425 +87,206 @@ SimResult::seconds(double freq_hz) const
     return static_cast<double>(cycles) / freq_hz;
 }
 
-namespace {
-
-/** Null-checks before the delegating ctor dereferences. */
-const MappedAutomaton &
-requireAutomaton(const std::shared_ptr<const MappedAutomaton> &mapped)
+ActivityObserver::ActivityObserver(const match::MatchContext &ctx,
+                                   const SimOptions &opts)
+    : fifo_refill_(static_cast<uint64_t>(opts.fifoRefillSymbols)),
+      output_depth_(
+          static_cast<uint64_t>(std::max(opts.outputBufferDepth, 1))),
+      record_trace_(opts.recordTrace)
 {
-    CA_FATAL_IF(!mapped, "CacheAutomatonSim: null mapped automaton");
-    return *mapped;
+    const MappedAutomaton &mapped = ctx.mapped();
+    const size_t n = ctx.numStates();
+    partition_of_.resize(n);
+    cross_flags_.assign(n, 0);
+    for (StateId s = 0; s < n; ++s)
+        partition_of_[s] = mapped.location(s).partition;
+    for (const CrossEdge &e : mapped.crossEdges())
+        cross_flags_[e.from] |= e.viaG4 ? 2 : 1;
+    partition_epoch_.assign(mapped.numPartitions(), ~0ull);
+
+    // Per-word G1/G4 source masks: the dense kernel counts crossings
+    // word-parallel, one popcount per matched word.
+    if (ctx.denseAvailable()) {
+        const size_t words =
+            static_cast<size_t>(ctx.numPartitions()) *
+            match::kWordsPerPartition;
+        dense_g1_.assign(words, 0);
+        dense_g4_.assign(words, 0);
+        for (StateId s = 0; s < n; ++s) {
+            const uint32_t di = ctx.denseIndex(s);
+            const uint64_t bit = uint64_t{1} << (di & 63);
+            if (cross_flags_[s] & 1)
+                dense_g1_[di >> 6] |= bit;
+            if (cross_flags_[s] & 2)
+                dense_g4_[di >> 6] |= bit;
+        }
+    }
 }
 
-/** Dense-kernel partition geometry (§2.2: 256 STEs per 8 KB array). */
-constexpr uint32_t kSlotsPerPartition = 256;
-constexpr uint32_t kWordsPerPartition = kSlotsPerPartition / 64;
+void
+ActivityObserver::reset()
+{
+    pending_reports_ = 0;
+    last_kernel_ = -1;
+    acc_ = SimResult{};
+}
+
+void
+ActivityObserver::block(bool dense, size_t symbols)
+{
+    const int kernel_id = dense ? 1 : 0;
+    if (last_kernel_ >= 0 && last_kernel_ != kernel_id)
+        ++acc_.kernelSwitches;
+    last_kernel_ = kernel_id;
+    (dense ? acc_.denseKernelSymbols : acc_.sparseKernelSymbols) += symbols;
+}
+
+void
+ActivityObserver::skip(uint64_t offset, size_t symbols)
+{
+    // Every skipped cycle is an idle one: no partition, state, crossing
+    // or report — but the FIFO still refills on its absolute cadence.
+    const uint64_t end = offset + symbols;
+    acc_.fifoRefills += (end + fifo_refill_ - 1) / fifo_refill_ -
+        (offset + fifo_refill_ - 1) / fifo_refill_;
+    acc_.symbols += symbols;
+    if (record_trace_)
+        acc_.trace.resize(acc_.trace.size() + symbols);
+}
+
+void
+ActivityObserver::sparseFrontier(const std::vector<StateId> &enabled)
+{
+    acc_.totalEnabledStates += enabled.size();
+    // A partition is active (performs an array read + L-switch access)
+    // when its active-state vector has any bit set (§5.3).
+    const uint64_t epoch = ++epoch_counter_;
+    for (StateId s : enabled) {
+        uint32_t p = partition_of_[s];
+        if (partition_epoch_[p] != epoch) {
+            partition_epoch_[p] = epoch;
+            ++cycle_partitions_;
+        }
+    }
+}
+
+void
+ActivityObserver::sparseMatch(StateId s)
+{
+    ++cycle_active_;
+    const uint8_t flags = cross_flags_[s];
+    if (flags & 1)
+        ++cycle_g1_;
+    if (flags & 2)
+        ++cycle_g4_;
+}
+
+void
+ActivityObserver::densePartition(uint64_t e0, uint64_t e1, uint64_t e2,
+                                 uint64_t e3)
+{
+    ++cycle_partitions_;
+    acc_.totalEnabledStates += static_cast<uint64_t>(
+        std::popcount(e0) + std::popcount(e1) + std::popcount(e2) +
+        std::popcount(e3));
+}
+
+void
+ActivityObserver::denseMatch(size_t word, uint64_t matched)
+{
+    cycle_active_ += static_cast<uint32_t>(std::popcount(matched));
+    cycle_g1_ += static_cast<uint32_t>(
+        std::popcount(matched & dense_g1_[word]));
+    cycle_g4_ += static_cast<uint32_t>(
+        std::popcount(matched & dense_g4_[word]));
+}
+
+void
+ActivityObserver::symbolEnd(uint64_t offset, size_t fired)
+{
+    // FIFO refill accounting: one cache-block read per refill batch
+    // (aligned to the absolute stream offset).
+    if (offset % fifo_refill_ == 0)
+        ++acc_.fifoRefills;
+    acc_.totalActivePartitionCycles += cycle_partitions_;
+    acc_.totalActiveStates += cycle_active_;
+    acc_.totalG1Crossings += cycle_g1_;
+    acc_.totalG4Crossings += cycle_g4_;
+
+    // §2.8 output buffer: an interrupt drains outputBufferDepth entries;
+    // overshoot past the threshold (several states reporting in one
+    // cycle) carries into the next buffer instead of being discarded,
+    // so interrupt counts stay exact.
+    pending_reports_ += fired;
+    while (pending_reports_ >= output_depth_) {
+        ++acc_.outputBufferInterrupts;
+        pending_reports_ -= output_depth_;
+    }
+
+    if (record_trace_) {
+        acc_.trace.push_back(CycleTrace{cycle_partitions_, cycle_active_,
+                                        cycle_g1_, cycle_g4_,
+                                        static_cast<uint32_t>(fired)});
+    }
+    cycle_partitions_ = cycle_active_ = cycle_g1_ = cycle_g4_ = 0;
+    ++acc_.symbols;
+}
+
+namespace {
+
+/** The engine's options: the sim's, with $CA_SIM_KERNEL applied. */
+match::MatchOptions
+engineOptions(const SimOptions &opts)
+{
+    match::MatchOptions out = opts;
+    if (std::optional<SimKernel> env = simKernelEnvOverride())
+        out.kernel = *env;
+    return out;
+}
 
 } // namespace
 
-std::optional<SimKernel>
-parseKernelName(std::string_view name)
+CacheAutomatonSim::CacheAutomatonSim(const MappedAutomaton &mapped,
+                                     const SimOptions &opts)
+    : CacheAutomatonSim(std::make_shared<const match::MatchContext>(mapped),
+                        opts)
 {
-    if (name == "sparse")
-        return SimKernel::Sparse;
-    if (name == "dense")
-        return SimKernel::Dense;
-    if (name == "auto")
-        return SimKernel::Auto;
-    return std::nullopt;
-}
-
-const char *
-kernelName(SimKernel k)
-{
-    switch (k) {
-    case SimKernel::Sparse:
-        return "sparse";
-    case SimKernel::Dense:
-        return "dense";
-    case SimKernel::Auto:
-        return "auto";
-    }
-    return "auto";
-}
-
-std::optional<SimKernel>
-simKernelEnvOverride()
-{
-    static const std::optional<SimKernel> parsed = [] {
-        std::optional<SimKernel> out;
-        const char *env = std::getenv("CA_SIM_KERNEL");
-        if (!env || !*env)
-            return out;
-        out = parseKernelName(env);
-        if (!out) {
-            CA_WARN("CA_SIM_KERNEL=" << env
-                                     << " is not sparse/dense/auto; "
-                                        "falling back to auto");
-            out = SimKernel::Auto;
-        }
-        return out;
-    }();
-    return parsed;
 }
 
 CacheAutomatonSim::CacheAutomatonSim(
     std::shared_ptr<const MappedAutomaton> mapped, const SimOptions &opts)
-    : CacheAutomatonSim(requireAutomaton(mapped), opts)
+    : CacheAutomatonSim(
+          std::make_shared<const match::MatchContext>(std::move(mapped)),
+          opts)
 {
-    owned_ = std::move(mapped);
 }
 
-CacheAutomatonSim::CacheAutomatonSim(const MappedAutomaton &mapped,
-                                     const SimOptions &opts)
-    : mapped_(mapped), opts_(opts)
+CacheAutomatonSim::CacheAutomatonSim(
+    std::shared_ptr<const match::MatchContext> ctx, const SimOptions &opts)
+    : ctx_(std::move(ctx)), engine_(ctx_, engineOptions(opts)),
+      activity_(*ctx_, opts)
 {
-    const Nfa &nfa = mapped.nfa();
-    partition_of_.resize(nfa.numStates());
-    cross_flags_.assign(nfa.numStates(), 0);
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        partition_of_[s] = mapped.location(s).partition;
-        if (nfa.state(s).start == StartType::AllInput)
-            all_input_.push_back(s);
-    }
-    for (const CrossEdge &e : mapped.crossEdges())
-        cross_flags_[e.from] |= e.viaG4 ? 2 : 1;
-
-    // Flatten labels, successors, and report attributes so the per-symbol
-    // loop touches dense arrays instead of NfaState objects.
-    labels_.resize(nfa.numStates() * 4);
-    report_info_.resize(nfa.numStates());
-    succ_xadj_.assign(nfa.numStates() + 1, 0);
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        const NfaState &st = nfa.state(s);
-        const auto &words = st.label.raw();
-        for (int w = 0; w < 4; ++w)
-            labels_[s * 4 + w] = words[w];
-        report_info_[s] =
-            (static_cast<uint64_t>(st.reportId) << 1) | (st.report ? 1 : 0);
-        succ_xadj_[s + 1] = succ_xadj_[s] +
-            static_cast<uint32_t>(st.out.size());
-    }
-    succ_.resize(succ_xadj_.back());
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        uint32_t base = succ_xadj_[s];
-        const auto &out = nfa.state(s).out;
-        for (size_t i = 0; i < out.size(); ++i)
-            succ_[base + i] = out[i];
-    }
-
-    // Weighted automata additionally flatten the edge/start weights and
-    // allocate the score frontier; unweighted ones skip all of it and
-    // run the exact unscored kernels.
-    scored_ = nfa.hasWeights();
-    if (scored_) {
-        succ_w_.assign(succ_.size(), 0);
-        start_w_.assign(nfa.numStates(), 0);
-        for (StateId s = 0; s < nfa.numStates(); ++s) {
-            uint32_t base = succ_xadj_[s];
-            const NfaState &st = nfa.state(s);
-            for (size_t i = 0; i < st.out.size(); ++i)
-                succ_w_[base + i] = nfa.edgeWeight(s, i);
-            start_w_[s] = st.startWeight;
-        }
-        score_cur_.assign(nfa.numStates(), 0);
-        score_nxt_.assign(nfa.numStates(), 0);
-    }
-
-    enabled_mask_ = BitVector(nfa.numStates());
-    partition_epoch_.assign(mapped.numPartitions(), ~0ull);
-    reset();
+    engine_.setCollectReports(opts.collectReports);
 }
 
 void
 CacheAutomatonSim::reset()
 {
-    const Nfa &nfa = mapped_.nfa();
-    for (StateId s : enabled_)
-        enabled_mask_.reset(s);
-    enabled_.clear();
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        if (nfa.state(s).start != StartType::None &&
-            !enabled_mask_.test(s)) {
-            enabled_mask_.set(s);
-            enabled_.push_back(s);
-            if (scored_)
-                score_cur_[s] = start_w_[s];
-        }
-    }
-    dense_active_ = false;
-    density_seeded_ = false;
-    last_kernel_ = -1;
-    pending_reports_ = 0;
-    stream_offset_ = 0;
-    acc_ = SimResult{};
-}
-
-SimKernel
-CacheAutomatonSim::effectiveKernel() const
-{
-    if (std::optional<SimKernel> env = simKernelEnvOverride())
-        return *env;
-    return opts_.kernel;
+    engine_.reset();
+    activity_.reset();
 }
 
 void
-CacheAutomatonSim::ensureDenseTables()
+CacheAutomatonSim::restore(const SimCheckpoint &ckpt)
 {
-    if (dense_ready_ || dense_unavailable_)
-        return;
-    const Nfa &nfa = mapped_.nfa();
-    const uint32_t P = static_cast<uint32_t>(mapped_.numPartitions());
-    if (P == 0 || nfa.numStates() == 0) {
-        dense_unavailable_ = true;
-        return;
-    }
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        if (mapped_.location(s).slot >= kSlotsPerPartition) {
-            // Defensive: a non-standard design geometry falls back to
-            // the sparse kernel rather than corrupting masks.
-            CA_WARN("dense kernel unavailable: state "
-                    << s << " at slot " << mapped_.location(s).slot
-                    << " exceeds " << kSlotsPerPartition);
-            dense_unavailable_ = true;
-            return;
-        }
-    }
-    dense_partitions_ = P;
-
-    dense_index_of_.assign(nfa.numStates(), 0);
-    state_of_dense_.assign(static_cast<size_t>(P) * kSlotsPerPartition,
-                           kInvalidState);
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        const SteLocation &loc = mapped_.location(s);
-        uint32_t di = loc.partition * kSlotsPerPartition + loc.slot;
-        dense_index_of_[s] = di;
-        state_of_dense_[di] = s;
-    }
-
-    // Row reads (§2.2): for each input symbol, the 256-bit per-partition
-    // match vector. Stored symbol-major so one symbol's step scans
-    // contiguous memory across partitions.
-    dense_rows_.assign(static_cast<size_t>(256) * P * kWordsPerPartition,
-                       0);
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        uint32_t di = dense_index_of_[s];
-        uint32_t p = di / kSlotsPerPartition;
-        uint32_t slot = di % kSlotsPerPartition;
-        uint64_t slot_bit = uint64_t{1} << (slot & 63);
-        size_t slot_word = slot >> 6;
-        for (int w = 0; w < 4; ++w) {
-            uint64_t label = labels_[s * 4 + w];
-            while (label) {
-                int b = std::countr_zero(label);
-                uint32_t c = static_cast<uint32_t>(w * 64 + b);
-                dense_rows_[(static_cast<size_t>(c) * P + p) *
-                                kWordsPerPartition +
-                            slot_word] |= slot_bit;
-                label &= label - 1;
-            }
-        }
-    }
-
-    // L-switch crossbar rows (intra-partition successors) and G-switch
-    // CSR (cross-partition successors, few per state by the 16/8 wire
-    // budgets).
-    dense_lswitch_.assign(state_of_dense_.size() * kWordsPerPartition, 0);
-    dense_cross_xadj_.assign(state_of_dense_.size() + 1, 0);
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        uint32_t cross = 0;
-        for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e)
-            if (partition_of_[succ_[e]] != partition_of_[s])
-                ++cross;
-        dense_cross_xadj_[dense_index_of_[s] + 1] = cross;
-    }
-    for (size_t i = 1; i < dense_cross_xadj_.size(); ++i)
-        dense_cross_xadj_[i] += dense_cross_xadj_[i - 1];
-    dense_cross_.resize(dense_cross_xadj_.back());
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        uint32_t di = dense_index_of_[s];
-        uint32_t fill = dense_cross_xadj_[di];
-        for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e) {
-            StateId t = succ_[e];
-            uint32_t ti = dense_index_of_[t];
-            if (partition_of_[t] == partition_of_[s]) {
-                uint32_t slot = ti % kSlotsPerPartition;
-                dense_lswitch_[static_cast<size_t>(di) *
-                                   kWordsPerPartition +
-                               (slot >> 6)] |= uint64_t{1} << (slot & 63);
-            } else {
-                dense_cross_[fill++] = ti;
-            }
-        }
-    }
-
-    // Per-partition attribute masks: word-parallel G1/G4/report counting.
-    dense_g1_.assign(static_cast<size_t>(P) * kWordsPerPartition, 0);
-    dense_g4_.assign(static_cast<size_t>(P) * kWordsPerPartition, 0);
-    dense_report_.assign(static_cast<size_t>(P) * kWordsPerPartition, 0);
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        uint32_t di = dense_index_of_[s];
-        size_t word = di >> 6;
-        uint64_t bit = uint64_t{1} << (di & 63);
-        if (cross_flags_[s] & 1)
-            dense_g1_[word] |= bit;
-        if (cross_flags_[s] & 2)
-            dense_g4_[word] |= bit;
-        if (report_info_[s] & 1)
-            dense_report_[word] |= bit;
-    }
-
-    std::vector<uint64_t> allinput(
-        static_cast<size_t>(P) * kWordsPerPartition, 0);
-    for (StateId s : all_input_) {
-        uint32_t di = dense_index_of_[s];
-        allinput[di >> 6] |= uint64_t{1} << (di & 63);
-    }
-    dense_allinput_words_.clear();
-    for (size_t w = 0; w < allinput.size(); ++w)
-        if (allinput[w])
-            dense_allinput_words_.emplace_back(
-                static_cast<uint32_t>(w), allinput[w]);
-
-    dense_cur_ =
-        BitVector(static_cast<size_t>(P) * kSlotsPerPartition);
-    dense_nxt_ =
-        BitVector(static_cast<size_t>(P) * kSlotsPerPartition);
-    if (scored_) {
-        dense_score_cur_.assign(state_of_dense_.size(), 0);
-        dense_score_nxt_.assign(state_of_dense_.size(), 0);
-        dense_score_epoch_.assign(state_of_dense_.size(), 0);
-        dense_epoch_counter_ = 0;
-    }
-    dense_ready_ = true;
-}
-
-void
-CacheAutomatonSim::syncDenseFromSparse()
-{
-    dense_cur_.clearAll();
-    for (StateId s : enabled_) {
-        uint32_t di = dense_index_of_[s];
-        dense_cur_.setUnchecked(di);
-        if (scored_)
-            dense_score_cur_[di] = score_cur_[s];
-    }
-    dense_active_ = true;
-}
-
-void
-CacheAutomatonSim::syncSparseFromDense()
-{
-    for (StateId s : enabled_)
-        enabled_mask_.resetUnchecked(s);
-    enabled_.clear();
-    dense_cur_.forEachSet([&](size_t di) {
-        StateId s = state_of_dense_[di];
-        enabled_mask_.setUnchecked(s);
-        enabled_.push_back(s);
-        if (scored_)
-            score_cur_[s] = dense_score_cur_[di];
-    });
-    dense_active_ = false;
-}
-
-KernelDecisionStats
-CacheAutomatonSim::kernelStats() const
-{
-    KernelDecisionStats ks;
-    ks.sparseBlocks = ks_sparse_blocks_.load(std::memory_order_relaxed);
-    ks.denseBlocks = ks_dense_blocks_.load(std::memory_order_relaxed);
-    ks.sparseSymbols =
-        ks_sparse_symbols_.load(std::memory_order_relaxed);
-    ks.denseSymbols = ks_dense_symbols_.load(std::memory_order_relaxed);
-    ks.kernelFlips = ks_flips_.load(std::memory_order_relaxed);
-    ks.densityEwma = ks_density_.load(std::memory_order_relaxed);
-    ks.lastKernel = ks_last_.load(std::memory_order_relaxed);
-    return ks;
-}
-
-bool
-CacheAutomatonSim::chooseDense()
-{
-    SimKernel kernel = effectiveKernel();
-    if (kernel == SimKernel::Sparse)
-        return false;
-    ensureDenseTables();
-    if (dense_unavailable_)
-        return false;
-    if (kernel == SimKernel::Dense)
-        return true;
-    // Auto: seed the EWMA from the current frontier density so a sim
-    // restored into a hot checkpoint starts on the right kernel.
-    size_t n = mapped_.nfa().numStates();
-    if (!density_seeded_) {
-        size_t frontier =
-            dense_active_ ? dense_cur_.count() : enabled_.size();
-        density_ewma_ =
-            static_cast<double>(frontier) / static_cast<double>(n);
-        density_seeded_ = true;
-    }
-    return density_ewma_ > opts_.autoDensityThreshold;
-}
-
-void
-CacheAutomatonSim::emitCycleReportsScored()
-{
-    if (cycle_report_scored_.empty())
-        return;
-    // Same canonical ascending-state order as the unscored path; the
-    // score rides along as the report payload.
-    std::sort(cycle_report_scored_.begin(), cycle_report_scored_.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    if (opts_.collectReports) {
-        for (const auto &[s, score] : cycle_report_scored_)
-            acc_.reports.push_back(Report{
-                stream_offset_,
-                static_cast<uint32_t>(report_info_[s] >> 1), s, score});
-    }
-    pending_reports_ += cycle_report_scored_.size();
-    const uint64_t depth =
-        static_cast<uint64_t>(std::max(opts_.outputBufferDepth, 1));
-    while (pending_reports_ >= depth) {
-        ++acc_.outputBufferInterrupts;
-        pending_reports_ -= depth;
-    }
-    cycle_report_scored_.clear();
-}
-
-void
-CacheAutomatonSim::emitCycleReports()
-{
-    if (cycle_report_scratch_.empty())
-        return;
-    // Canonical within-cycle order: ascending state id (shared with the
-    // CPU oracle and both kernels — bit-identical report streams).
-    std::sort(cycle_report_scratch_.begin(), cycle_report_scratch_.end());
-    if (opts_.collectReports) {
-        for (StateId s : cycle_report_scratch_)
-            acc_.reports.push_back(Report{
-                stream_offset_,
-                static_cast<uint32_t>(report_info_[s] >> 1), s});
-    }
-    // §2.8 output buffer: an interrupt drains outputBufferDepth entries;
-    // overshoot past the threshold (several states reporting in one
-    // cycle) carries into the next buffer instead of being discarded,
-    // so interrupt counts stay exact.
-    pending_reports_ += cycle_report_scratch_.size();
-    const uint64_t depth = static_cast<uint64_t>(
-        std::max(opts_.outputBufferDepth, 1));
-    while (pending_reports_ >= depth) {
-        ++acc_.outputBufferInterrupts;
-        pending_reports_ -= depth;
-    }
-    cycle_report_scratch_.clear();
+    engine_.restore(ckpt);
+    activity_.reset();
 }
 
 void
 CacheAutomatonSim::feed(const uint8_t *data, size_t size)
 {
+    SimResult &acc = activity_.result();
 #if CA_TELEMETRY
     const bool telemetry_on = telemetry::enabled();
     struct
@@ -519,418 +296,47 @@ CacheAutomatonSim::feed(const uint8_t *data, size_t size)
             kernelSwitches;
     } before = {};
     if (telemetry_on) {
-        before = {acc_.symbols, acc_.totalActiveStates,
-                  acc_.totalActivePartitionCycles, acc_.totalG1Crossings,
-                  acc_.totalG4Crossings, acc_.reports.size(),
-                  acc_.fifoRefills, acc_.outputBufferInterrupts,
-                  acc_.sparseKernelSymbols, acc_.denseKernelSymbols,
-                  acc_.kernelSwitches};
+        before = {acc.symbols, acc.totalActiveStates,
+                  acc.totalActivePartitionCycles, acc.totalG1Crossings,
+                  acc.totalG4Crossings, acc.reports.size(),
+                  acc.fifoRefills, acc.outputBufferInterrupts,
+                  acc.sparseKernelSymbols, acc.denseKernelSymbols,
+                  acc.kernelSwitches};
     }
 #endif
-    const bool auto_kernel = effectiveKernel() == SimKernel::Auto;
-    const size_t n_states = mapped_.nfa().numStates();
-    size_t pos = 0;
-    while (pos < size) {
-        bool use_dense = chooseDense();
-        size_t block = size - pos;
-        if (auto_kernel && opts_.autoBlockSymbols > 0)
-            block = std::min(block,
-                             static_cast<size_t>(opts_.autoBlockSymbols));
-
-        int kernel_id = use_dense ? 1 : 0;
-        if (last_kernel_ >= 0 && last_kernel_ != kernel_id)
-            ++acc_.kernelSwitches;
-        last_kernel_ = kernel_id;
-
-        // Engine-lifetime decision counters (kernelStats()). ks_last_
-        // is tracked separately from last_kernel_, which restore()
-        // clears: a flip only counts when the *engine* really changed
-        // kernels between consecutive blocks.
-        (use_dense ? ks_dense_blocks_ : ks_sparse_blocks_)
-            .fetch_add(1, std::memory_order_relaxed);
-        int ks_prev = ks_last_.load(std::memory_order_relaxed);
-        if (ks_prev >= 0 && ks_prev != kernel_id)
-            ks_flips_.fetch_add(1, std::memory_order_relaxed);
-        ks_last_.store(kernel_id, std::memory_order_relaxed);
-
-        if (use_dense && !dense_active_)
-            syncDenseFromSparse();
-        else if (!use_dense && dense_active_)
-            syncSparseFromDense();
-
-        if (use_dense) {
-            feedDense(data + pos, block);
-            acc_.denseKernelSymbols += block;
-            ks_dense_symbols_.fetch_add(block,
-                                        std::memory_order_relaxed);
-        } else {
-            feedSparse(data + pos, block);
-            acc_.sparseKernelSymbols += block;
-            ks_sparse_symbols_.fetch_add(block,
-                                         std::memory_order_relaxed);
-        }
-        pos += block;
-
-        if (auto_kernel && n_states > 0 && block > 0) {
-            // Sample the *enabled frontier*, not the matched count: the
-            // sparse kernel's per-symbol cost is one label test per
-            // enabled state (always-enabled all-input starts included),
-            // so frontier size is the quantity the crossover tracks.
-            size_t frontier =
-                dense_active_ ? dense_cur_.count() : enabled_.size();
-            double sample = static_cast<double>(frontier) /
-                static_cast<double>(n_states);
-            density_ewma_ = opts_.autoEwmaAlpha * sample +
-                (1.0 - opts_.autoEwmaAlpha) * density_ewma_;
-            ks_density_.store(density_ewma_,
-                              std::memory_order_relaxed);
-        }
-    }
+    engine_.feed(data, size, activity_);
+    std::vector<Report> fired = engine_.takeReports();
+    if (acc.reports.empty())
+        acc.reports = std::move(fired);
+    else
+        acc.reports.insert(acc.reports.end(), fired.begin(), fired.end());
 #if CA_TELEMETRY
     if (telemetry_on) {
         SimCounters &c = SimCounters::get();
-        c.symbols.add(acc_.symbols - before.symbols);
-        c.activeStates.add(acc_.totalActiveStates - before.activeStates);
-        c.activePartitionCycles.add(acc_.totalActivePartitionCycles -
+        c.symbols.add(acc.symbols - before.symbols);
+        c.activeStates.add(acc.totalActiveStates - before.activeStates);
+        c.activePartitionCycles.add(acc.totalActivePartitionCycles -
                                     before.activePartitionCycles);
-        c.g1Crossings.add(acc_.totalG1Crossings - before.g1);
-        c.g4Crossings.add(acc_.totalG4Crossings - before.g4);
-        c.reports.add(acc_.reports.size() - before.reports);
-        c.fifoRefills.add(acc_.fifoRefills - before.fifoRefills);
-        c.outputBufferInterrupts.add(acc_.outputBufferInterrupts -
+        c.g1Crossings.add(acc.totalG1Crossings - before.g1);
+        c.g4Crossings.add(acc.totalG4Crossings - before.g4);
+        c.reports.add(acc.reports.size() - before.reports);
+        c.fifoRefills.add(acc.fifoRefills - before.fifoRefills);
+        c.outputBufferInterrupts.add(acc.outputBufferInterrupts -
                                      before.obInterrupts);
-        c.kernelSparseSymbols.add(acc_.sparseKernelSymbols -
+        c.kernelSparseSymbols.add(acc.sparseKernelSymbols -
                                   before.sparseSyms);
-        c.kernelDenseSymbols.add(acc_.denseKernelSymbols -
+        c.kernelDenseSymbols.add(acc.denseKernelSymbols -
                                  before.denseSyms);
-        c.kernelSwitches.add(acc_.kernelSwitches -
-                             before.kernelSwitches);
+        c.kernelSwitches.add(acc.kernelSwitches - before.kernelSwitches);
         c.feedSymbols.observe(size);
     }
 #endif
 }
 
-void
-CacheAutomatonSim::feedSparse(const uint8_t *data, size_t size)
-{
-    if (scored_)
-        feedSparseImpl<true>(data, size);
-    else
-        feedSparseImpl<false>(data, size);
-}
-
-template <bool Scored>
-void
-CacheAutomatonSim::feedSparseImpl(const uint8_t *data, size_t size)
-{
-    for (size_t i = 0; i < size; ++i) {
-        uint8_t c = data[i];
-        const uint64_t label_bit = uint64_t{1} << (c & 63);
-        const size_t label_word = c >> 6;
-
-        // FIFO refill accounting: one cache-block read per refill batch
-        // (aligned to the absolute stream offset).
-        if (stream_offset_ % static_cast<uint64_t>(opts_.fifoRefillSymbols)
-            == 0)
-            ++acc_.fifoRefills;
-
-        acc_.totalEnabledStates += enabled_.size();
-
-        // A partition is active (performs an array read + L-switch
-        // access) when its active-state vector has any bit set (§5.3).
-        uint64_t epoch = ++epoch_counter_;
-        uint32_t active_partitions = 0;
-        for (StateId s : enabled_) {
-            uint32_t p = partition_of_[s];
-            if (partition_epoch_[p] != epoch) {
-                partition_epoch_[p] = epoch;
-                ++active_partitions;
-            }
-        }
-        acc_.totalActivePartitionCycles += active_partitions;
-
-        // State-match phase.
-        active_scratch_.clear();
-        uint32_t g1 = 0;
-        uint32_t g4 = 0;
-        for (StateId s : enabled_) {
-            if (!(labels_[s * 4 + label_word] & label_bit))
-                continue;
-            active_scratch_.push_back(s);
-            uint8_t flags = cross_flags_[s];
-            if (flags & 1)
-                ++g1;
-            if (flags & 2)
-                ++g4;
-            if (report_info_[s] & 1) {
-                if constexpr (Scored)
-                    cycle_report_scored_.emplace_back(s, score_cur_[s]);
-                else
-                    cycle_report_scratch_.push_back(s);
-            }
-        }
-        acc_.totalActiveStates += active_scratch_.size();
-        acc_.totalG1Crossings += g1;
-        acc_.totalG4Crossings += g4;
-
-        uint32_t fired;
-        if constexpr (Scored) {
-            fired = static_cast<uint32_t>(cycle_report_scored_.size());
-            emitCycleReportsScored();
-        } else {
-            fired = static_cast<uint32_t>(cycle_report_scratch_.size());
-            emitCycleReports();
-        }
-
-        if (opts_.recordTrace) {
-            acc_.trace.push_back(CycleTrace{
-                active_partitions,
-                static_cast<uint32_t>(active_scratch_.size()), g1, g4,
-                fired});
-        }
-
-        // State-transition phase. Clear only the bits set last cycle (the
-        // mask is as wide as the NFA; a full clear would dominate).
-        for (StateId s : enabled_)
-            enabled_mask_.resetUnchecked(s);
-        enabled_.clear();
-        for (StateId s : active_scratch_) {
-            uint32_t end = succ_xadj_[s + 1];
-            for (uint32_t e = succ_xadj_[s]; e < end; ++e) {
-                StateId t = succ_[e];
-                if constexpr (Scored) {
-                    // ⊗ along the edge, ⊕ across alternatives into t.
-                    const Score cand = score_cur_[s] +
-                        static_cast<Score>(succ_w_[e]);
-                    if (!enabled_mask_.testUnchecked(t)) {
-                        enabled_mask_.setUnchecked(t);
-                        enabled_.push_back(t);
-                        score_nxt_[t] = cand;
-                    } else {
-                        score_nxt_[t] = scoreCombine(
-                            opts_.semiring, score_nxt_[t], cand);
-                    }
-                } else {
-                    if (!enabled_mask_.testUnchecked(t)) {
-                        enabled_mask_.setUnchecked(t);
-                        enabled_.push_back(t);
-                    }
-                }
-            }
-        }
-        for (StateId s : all_input_) {
-            if constexpr (Scored) {
-                // An always-on start competes with any incoming path at
-                // its start weight (a fresh local alignment).
-                const Score w = static_cast<Score>(start_w_[s]);
-                if (!enabled_mask_.testUnchecked(s)) {
-                    enabled_mask_.setUnchecked(s);
-                    enabled_.push_back(s);
-                    score_nxt_[s] = w;
-                } else {
-                    score_nxt_[s] =
-                        scoreCombine(opts_.semiring, score_nxt_[s], w);
-                }
-            } else {
-                if (!enabled_mask_.testUnchecked(s)) {
-                    enabled_mask_.setUnchecked(s);
-                    enabled_.push_back(s);
-                }
-            }
-        }
-        if constexpr (Scored)
-            score_cur_.swap(score_nxt_);
-        ++acc_.symbols;
-        ++stream_offset_;
-    }
-}
-
-void
-CacheAutomatonSim::feedDense(const uint8_t *data, size_t size)
-{
-    if (scored_)
-        feedDenseImpl<true>(data, size);
-    else
-        feedDenseImpl<false>(data, size);
-}
-
-template <bool Scored>
-void
-CacheAutomatonSim::feedDenseImpl(const uint8_t *data, size_t size)
-{
-    const uint32_t P = dense_partitions_;
-    const size_t words = static_cast<size_t>(P) * kWordsPerPartition;
-    uint64_t *cur = dense_cur_.raw().data();
-    uint64_t *nxt = dense_nxt_.raw().data();
-    const uint64_t *g1_mask = dense_g1_.data();
-    const uint64_t *g4_mask = dense_g4_.data();
-    const uint64_t *rep_mask = dense_report_.data();
-    const uint64_t *lswitch = dense_lswitch_.data();
-    // Scored runs keep the word-parallel row read for matching but
-    // propagate scores scalar per matched state via the successor CSR;
-    // an epoch array discriminates first-write from ⊕-combine without
-    // clearing the score vector each symbol.
-    Score *scur = Scored ? dense_score_cur_.data() : nullptr;
-    Score *snxt = Scored ? dense_score_nxt_.data() : nullptr;
-
-    for (size_t i = 0; i < size; ++i) {
-        uint8_t c = data[i];
-
-        if (stream_offset_ % static_cast<uint64_t>(opts_.fifoRefillSymbols)
-            == 0)
-            ++acc_.fifoRefills;
-
-        std::fill(nxt, nxt + words, 0);
-        [[maybe_unused]] uint64_t score_epoch = 0;
-        if constexpr (Scored)
-            score_epoch = ++dense_epoch_counter_;
-
-        const uint64_t *rows =
-            &dense_rows_[static_cast<size_t>(c) * words];
-        uint32_t active_partitions = 0;
-        uint64_t active_states = 0;
-        uint64_t g1 = 0;
-        uint64_t g4 = 0;
-        for (uint32_t p = 0; p < P; ++p) {
-            const size_t base = static_cast<size_t>(p) *
-                kWordsPerPartition;
-            const uint64_t e0 = cur[base + 0];
-            const uint64_t e1 = cur[base + 1];
-            const uint64_t e2 = cur[base + 2];
-            const uint64_t e3 = cur[base + 3];
-            if (!(e0 | e1 | e2 | e3))
-                continue;
-            ++active_partitions;
-            acc_.totalEnabledStates += static_cast<uint64_t>(
-                std::popcount(e0) + std::popcount(e1) +
-                std::popcount(e2) + std::popcount(e3));
-            // The §2.2 row read: the SRAM row *is* the match vector.
-            uint64_t m[4] = {e0 & rows[base + 0], e1 & rows[base + 1],
-                             e2 & rows[base + 2], e3 & rows[base + 3]};
-            if (!(m[0] | m[1] | m[2] | m[3]))
-                continue;
-            for (int w = 0; w < 4; ++w) {
-                uint64_t mw = m[w];
-                if (!mw)
-                    continue;
-                active_states +=
-                    static_cast<uint64_t>(std::popcount(mw));
-                g1 += static_cast<uint64_t>(
-                    std::popcount(mw & g1_mask[base + w]));
-                g4 += static_cast<uint64_t>(
-                    std::popcount(mw & g4_mask[base + w]));
-                uint64_t rw = mw & rep_mask[base + w];
-                while (rw) {
-                    int b = std::countr_zero(rw);
-                    uint32_t di = static_cast<uint32_t>(
-                        (base + static_cast<size_t>(w)) * 64 +
-                        static_cast<size_t>(b));
-                    if constexpr (Scored)
-                        cycle_report_scored_.emplace_back(
-                            state_of_dense_[di], scur[di]);
-                    else
-                        cycle_report_scratch_.push_back(
-                            state_of_dense_[di]);
-                    rw &= rw - 1;
-                }
-                // Transition: matched states drive their L-switch rows
-                // (4-word OR) and their few G-switch wires.
-                while (mw) {
-                    int b = std::countr_zero(mw);
-                    uint32_t di = static_cast<uint32_t>(
-                        (base + static_cast<size_t>(w)) * 64 +
-                        static_cast<size_t>(b));
-                    const uint64_t *row =
-                        lswitch + static_cast<size_t>(di) *
-                            kWordsPerPartition;
-                    nxt[base + 0] |= row[0];
-                    nxt[base + 1] |= row[1];
-                    nxt[base + 2] |= row[2];
-                    nxt[base + 3] |= row[3];
-                    for (uint32_t e = dense_cross_xadj_[di];
-                         e < dense_cross_xadj_[di + 1]; ++e) {
-                        uint32_t ti = dense_cross_[e];
-                        nxt[ti >> 6] |= uint64_t{1} << (ti & 63);
-                    }
-                    if constexpr (Scored) {
-                        const StateId s = state_of_dense_[di];
-                        const Score from = scur[di];
-                        const uint32_t end = succ_xadj_[s + 1];
-                        for (uint32_t e = succ_xadj_[s]; e < end; ++e) {
-                            const uint32_t ti =
-                                dense_index_of_[succ_[e]];
-                            const Score cand = from +
-                                static_cast<Score>(succ_w_[e]);
-                            if (dense_score_epoch_[ti] != score_epoch) {
-                                dense_score_epoch_[ti] = score_epoch;
-                                snxt[ti] = cand;
-                            } else {
-                                snxt[ti] = scoreCombine(
-                                    opts_.semiring, snxt[ti], cand);
-                            }
-                        }
-                    }
-                    mw &= mw - 1;
-                }
-            }
-        }
-        acc_.totalActivePartitionCycles += active_partitions;
-        acc_.totalActiveStates += active_states;
-        acc_.totalG1Crossings += g1;
-        acc_.totalG4Crossings += g4;
-
-        uint32_t fired;
-        if constexpr (Scored) {
-            fired = static_cast<uint32_t>(cycle_report_scored_.size());
-            emitCycleReportsScored();
-        } else {
-            fired = static_cast<uint32_t>(cycle_report_scratch_.size());
-            emitCycleReports();
-        }
-
-        if (opts_.recordTrace) {
-            acc_.trace.push_back(CycleTrace{
-                active_partitions, static_cast<uint32_t>(active_states),
-                static_cast<uint32_t>(g1), static_cast<uint32_t>(g4),
-                fired});
-        }
-
-        for (const auto &[w, mask] : dense_allinput_words_)
-            nxt[w] |= mask;
-        if constexpr (Scored) {
-            for (StateId s : all_input_) {
-                const uint32_t ti = dense_index_of_[s];
-                const Score w = static_cast<Score>(start_w_[s]);
-                if (dense_score_epoch_[ti] != score_epoch) {
-                    dense_score_epoch_[ti] = score_epoch;
-                    snxt[ti] = w;
-                } else {
-                    snxt[ti] =
-                        scoreCombine(opts_.semiring, snxt[ti], w);
-                }
-            }
-        }
-
-        std::swap(cur, nxt);
-        if constexpr (Scored)
-            std::swap(scur, snxt);
-        ++acc_.symbols;
-        ++stream_offset_;
-    }
-    // An odd symbol count leaves the live frontier in dense_nxt_'s
-    // storage; swap the vectors so dense_cur_ owns it again.
-    if (cur != dense_cur_.raw().data())
-        std::swap(dense_cur_, dense_nxt_);
-    if constexpr (Scored) {
-        if (scur != dense_score_cur_.data())
-            dense_score_cur_.swap(dense_score_nxt_);
-    }
-}
-
 SimResult
 CacheAutomatonSim::result() const
 {
-    SimResult out = acc_;
+    SimResult out = activity_.result();
     // 3-stage pipeline: the last symbol completes 2 cycles after issue.
     out.cycles = out.symbols == 0 ? 0 : out.symbols + 2;
     return out;
@@ -949,101 +355,16 @@ SimResult
 CacheAutomatonSim::run(const uint8_t *data, size_t size,
                        const SimOptions &opts)
 {
-    // One-off options: restore the bound ones when the run ends, so a
-    // later feed()/run() still sees what the sim was constructed with.
-    const SimOptions saved = opts_;
-    opts_ = opts;
-    SimResult out;
-    try {
-        out = run(data, size);
-    } catch (...) {
-        opts_ = saved;
-        throw;
-    }
-    opts_ = saved;
-    return out;
+    CacheAutomatonSim oneoff(ctx_, opts);
+    return oneoff.run(data, size);
 }
 
 std::vector<Report>
 CacheAutomatonSim::takeReports()
 {
-    std::vector<Report> out = std::move(acc_.reports);
-    acc_.reports.clear();
+    std::vector<Report> out = std::move(activity_.result().reports);
+    activity_.result().reports.clear();
     return out;
-}
-
-SimCheckpoint
-CacheAutomatonSim::checkpoint() const
-{
-    SimCheckpoint ckpt;
-    ckpt.symbolOffset = stream_offset_;
-    if (!scored_) {
-        if (dense_active_) {
-            dense_cur_.forEachSet([&](size_t di) {
-                ckpt.enabledStates.push_back(state_of_dense_[di]);
-            });
-        } else {
-            ckpt.enabledStates = enabled_;
-        }
-        std::sort(ckpt.enabledStates.begin(), ckpt.enabledStates.end());
-        return ckpt;
-    }
-    // Weighted automata checkpoint the per-state scores alongside the
-    // frontier, kept parallel through the canonical sort.
-    std::vector<std::pair<StateId, Score>> pairs;
-    if (dense_active_) {
-        dense_cur_.forEachSet([&](size_t di) {
-            pairs.emplace_back(state_of_dense_[di],
-                               dense_score_cur_[di]);
-        });
-    } else {
-        for (StateId s : enabled_)
-            pairs.emplace_back(s, score_cur_[s]);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    ckpt.enabledStates.reserve(pairs.size());
-    ckpt.enabledScores.reserve(pairs.size());
-    for (const auto &[s, score] : pairs) {
-        ckpt.enabledStates.push_back(s);
-        ckpt.enabledScores.push_back(score);
-    }
-    return ckpt;
-}
-
-void
-CacheAutomatonSim::restore(const SimCheckpoint &ckpt)
-{
-    const Nfa &nfa = mapped_.nfa();
-    CA_FATAL_IF(!ckpt.enabledScores.empty() &&
-                    ckpt.enabledScores.size() !=
-                        ckpt.enabledStates.size(),
-                "checkpoint has " << ckpt.enabledStates.size()
-                                  << " states but "
-                                  << ckpt.enabledScores.size()
-                                  << " scores");
-    for (StateId s : enabled_)
-        enabled_mask_.reset(s);
-    enabled_.clear();
-    for (size_t i = 0; i < ckpt.enabledStates.size(); ++i) {
-        StateId s = ckpt.enabledStates[i];
-        CA_FATAL_IF(s >= nfa.numStates(),
-                    "checkpoint references state " << s
-                                                   << " outside automaton");
-        if (!enabled_mask_.test(s)) {
-            enabled_mask_.set(s);
-            enabled_.push_back(s);
-            if (scored_)
-                score_cur_[s] = ckpt.enabledScores.empty()
-                    ? 0
-                    : ckpt.enabledScores[i];
-        }
-    }
-    dense_active_ = false;
-    density_seeded_ = false;
-    last_kernel_ = -1;
-    pending_reports_ = 0;
-    acc_ = SimResult{};
-    stream_offset_ = ckpt.symbolOffset;
 }
 
 } // namespace ca

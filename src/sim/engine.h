@@ -10,17 +10,15 @@
  * crossings) are exactly what the energy model consumes — the same
  * methodology the paper uses (VASim activity feeding derived constants).
  *
+ * The simulator is a match::MatchEngine (the one implementation of the
+ * per-symbol step, with its sparse and dense kernels and the Auto
+ * selector; DESIGN.md §7) plus an ActivityObserver that does the
+ * hardware accounting from the kernels' observer hooks. Its report
+ * stream is therefore the engine's, bit for bit.
+ *
  * The engine is incremental: feed() consumes stream chunks, and the §2.9
  * suspend/resume model is supported by checkpoint()/restore() (the
  * hardware records the active-state vector and input symbol counter).
- *
- * Two execution kernels compute the same step (SimKernel): a sparse
- * frontier-iterating stepper (O(active states)/symbol) and a dense
- * bit-parallel stepper that materializes the §2.2 row read — per-
- * partition 256-entry symbol→match-mask tables AND-ed against the
- * active vector in whole 64-bit words (O(partitions)/symbol). `Auto`
- * picks per block on measured enabled-frontier density, so small- and
- * large-frontier regimes each get their fast path.
  *
  * Functional behaviour (the report stream) is bit-identical to the CPU
  * oracle engine under every kernel; within a cycle, reports are emitted
@@ -30,97 +28,30 @@
 #ifndef CA_SIM_ENGINE_H
 #define CA_SIM_ENGINE_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "arch/energy.h"
 #include "baseline/nfa_engine.h"
 #include "compiler/mapping.h"
-#include "core/bitvector.h"
-#include "score/semiring.h"
+#include "match/match_engine.h"
 
 namespace ca {
 
 /**
- * Execution kernel for the per-symbol step (DESIGN.md §7).
- *
- *  - Sparse: iterate the enabled-state frontier; O(active states) per
- *    symbol. Wins when few states are active (DFA-like automata).
- *  - Dense: bit-parallel §2.2 row-read model — per-partition 256-entry
- *    symbol→match-mask tables and per-state successor masks, stepped
- *    with whole 64-bit words. Cost is O(partitions) per symbol
- *    regardless of activity; wins on high-activity automata (Fermi,
- *    SPM, Protomata-class).
- *  - Auto: per-block selection on an EWMA of enabled-frontier density
- *    (enabled states ÷ total states) — the sparse kernel's actual cost
- *    driver, which includes always-enabled all-input start states.
- *
- * All kernels are bit-identical: same report stream, same activity
- * counters (enforced against the CPU oracle by tests/kernel_test.cpp).
- * The CA_SIM_KERNEL environment variable ("sparse"/"dense"/"auto"),
- * when set, overrides the option — CI uses it to run the whole sim
- * suite under every kernel.
+ * Simulation controls: the engine's kernel options (inherited) plus the
+ * §2.8 hardware-model parameters.
  */
-enum class SimKernel : uint8_t
-{
-    Sparse,
-    Dense,
-    Auto,
-};
-
-/** Parses "sparse"/"dense"/"auto"; nullopt on anything else. */
-std::optional<SimKernel> parseKernelName(std::string_view name);
-
-/** The kernel's canonical spelling ("sparse"/"dense"/"auto"). */
-const char *kernelName(SimKernel k);
-
-/**
- * The $CA_SIM_KERNEL override, parsed once per process (CI uses it to
- * run the whole sim suite under every kernel). Unrecognized values warn
- * once and fall back to Auto — a typo in a CI matrix must be loud, but
- * pinning the run to a kernel that doesn't exist would be worse.
- * Returns nullopt only when the variable is unset/empty.
- */
-std::optional<SimKernel> simKernelEnvOverride();
-
-/** Simulation controls. */
-struct SimOptions
+struct SimOptions : match::MatchOptions
 {
     bool collectReports = true;
     /** Record a per-cycle activity trace (costly; for tests/ablations). */
     bool recordTrace = false;
-    /** Input FIFO depth (§2.8). */
-    int fifoDepth = 128;
     /** Symbols refilled per cache-block fetch into the FIFO. */
     int fifoRefillSymbols = 64;
     /** Output buffer entries before an interrupt fires (§2.8). */
     int outputBufferDepth = 64;
-    /** Per-symbol stepper (overridable via $CA_SIM_KERNEL). */
-    SimKernel kernel = SimKernel::Auto;
-    /**
-     * Auto: run the dense kernel while the EWMA of enabled-frontier
-     * density (enabled states ÷ total states) exceeds this. The default
-     * sits in the measured crossover band (bench_kernel_comparison:
-     * sparse still wins at ~0.011, dense from ~0.025 — about 3-6
-     * enabled states per 256-slot partition, since one sparse state
-     * visit costs several of the dense scan's sequential word ops).
-     */
-    double autoDensityThreshold = 0.02;
-    /** Auto: EWMA smoothing factor for per-block density samples. */
-    double autoEwmaAlpha = 0.25;
-    /** Auto: symbols per block between kernel re-evaluations. */
-    uint32_t autoBlockSymbols = 4096;
-    /**
-     * ⊕ for weighted automata (docs/SCORING.md): how alternative path
-     * scores into one state combine. Ignored (zero-cost) when the bound
-     * automaton carries no weights — unweighted rulesets run the exact
-     * unscored kernels.
-     */
-    ScoreSemiring semiring = ScoreSemiring::MaxPlus;
 };
 
 /** One cycle of recorded activity (when SimOptions::recordTrace). */
@@ -180,42 +111,64 @@ struct SimResult
 };
 
 /**
- * Suspend/resume snapshot (§2.9): the active-state vector (here: the
- * enabled frontier) and the input symbol counter. Restoring into a fresh
- * simulator bound to the same mapped automaton continues the stream
- * exactly where it left off.
+ * The §2.8/§5.3 hardware accounting as a MatchEngine kernel observer
+ * (match::NullObserver documents the hooks): FIFO refills, enabled and
+ * active states, active partitions, G1/G4 crossings, output-buffer
+ * interrupts, the optional cycle trace, and which kernel ran each
+ * symbol. Both kernels feed it the same per-cycle quantities — the
+ * sparse one per matched state, the dense one per matched 64-bit word —
+ * so the counters are bit-identical across kernels.
  */
-struct SimCheckpoint
+class ActivityObserver
 {
-    uint64_t symbolOffset = 0;
-    std::vector<StateId> enabledStates;
-    /**
-     * Per-state accumulated scores, parallel to enabledStates. Empty for
-     * unweighted automata (and accepted as all-zero on restore into a
-     * weighted one); otherwise the same length as enabledStates.
-     */
-    std::vector<Score> enabledScores;
-};
+  public:
+    ActivityObserver(const match::MatchContext &ctx, const SimOptions &opts);
 
-/**
- * Live Auto-kernel decision introspection (docs/OBSERVABILITY.md).
- *
- * Cumulative since engine construction: unlike SimResult's counters,
- * these survive reset()/restore(), because they describe the *engine as
- * a resource* (a runtime worker restores a different session's
- * checkpoint into the same engine many times per second, and the
- * interesting question — "is the Auto kernel flapping on this worker?" —
- * spans those restores).
- */
-struct KernelDecisionStats
-{
-    uint64_t sparseBlocks = 0;   ///< Blocks dispatched to the sparse kernel.
-    uint64_t denseBlocks = 0;    ///< Blocks dispatched to the dense kernel.
-    uint64_t sparseSymbols = 0;
-    uint64_t denseSymbols = 0;
-    uint64_t kernelFlips = 0;    ///< Consecutive blocks on different kernels.
-    double densityEwma = 0.0;    ///< Current frontier-density EWMA.
-    int lastKernel = -1;         ///< -1 none yet, 0 sparse, 1 dense.
+    /** Firing states count toward the output buffer even uncollected. */
+    static constexpr bool kCountsReports = true;
+
+    /** Clears the counters (the stream restarts or resumes). */
+    void reset();
+
+    /** The counters so far; reports are appended by the simulator. */
+    SimResult &result() { return acc_; }
+    const SimResult &result() const { return acc_; }
+
+    void block(bool dense, size_t symbols);
+    void skip(uint64_t offset, size_t symbols);
+    void sparseFrontier(const std::vector<StateId> &enabled);
+    void sparseMatch(StateId s);
+    void densePartition(uint64_t e0, uint64_t e1, uint64_t e2,
+                        uint64_t e3);
+    void denseMatch(size_t word, uint64_t matched);
+    void symbolEnd(uint64_t offset, size_t fired);
+
+  private:
+    const uint64_t fifo_refill_;
+    const uint64_t output_depth_;
+    const bool record_trace_;
+
+    // Per-state and per-dense-word attributes.
+    std::vector<uint32_t> partition_of_;
+    std::vector<uint8_t> cross_flags_; ///< bit0: G1 source, bit1: G4 source.
+    /** G1-source / G4-source masks over the dense frontier words. */
+    std::vector<uint64_t> dense_g1_;
+    std::vector<uint64_t> dense_g4_;
+
+    /** Sparse active-partition detection: last epoch each was seen. */
+    std::vector<uint64_t> partition_epoch_;
+    uint64_t epoch_counter_ = 0;
+
+    // The current cycle's activity.
+    uint32_t cycle_partitions_ = 0;
+    uint32_t cycle_active_ = 0;
+    uint32_t cycle_g1_ = 0;
+    uint32_t cycle_g4_ = 0;
+
+    /** Output-buffer entries since the last interrupt. */
+    uint64_t pending_reports_ = 0;
+    int last_kernel_ = -1; ///< -1 none, 0 sparse, 1 dense.
+    SimResult acc_;
 };
 
 /** Cycle-level simulator bound to one mapped automaton. */
@@ -250,8 +203,9 @@ class CacheAutomatonSim
     SimResult run(const uint8_t *data, size_t size);
 
     /**
-     * run() with one-off options: @p opts applies to this run only; the
-     * originally-bound options are restored before returning, so later
+     * run() with one-off options: @p opts applies to this run only. It
+     * runs on a scratch simulator sharing this one's tables, so this
+     * simulator's options and stream are untouched, and later
      * feed()/run() calls behave as if this call never happened.
      */
     SimResult run(const uint8_t *data, size_t size,
@@ -266,17 +220,16 @@ class CacheAutomatonSim
     /**
      * Moves out the reports accumulated since the last
      * reset()/restore()/takeReports(); activity counters are untouched.
-     * Lets an incremental driver (the multi-stream runtime) drain the
-     * §2.8 output buffer between feed() slices without copying or
-     * re-reading earlier reports.
+     * Lets an incremental driver drain the §2.8 output buffer between
+     * feed() slices without copying or re-reading earlier reports.
      */
     std::vector<Report> takeReports();
 
     /** Absolute stream position: the offset the next symbol gets. */
-    uint64_t streamOffset() const { return stream_offset_; }
+    uint64_t streamOffset() const { return engine_.streamOffset(); }
 
     /** Captures the §2.9 suspend state. */
-    SimCheckpoint checkpoint() const;
+    SimCheckpoint checkpoint() const { return engine_.checkpoint(); }
 
     /**
      * Restores a checkpoint taken from a simulator of the same mapped
@@ -285,157 +238,24 @@ class CacheAutomatonSim
      */
     void restore(const SimCheckpoint &ckpt);
 
-    const MappedAutomaton &mapped() const { return mapped_; }
+    const MappedAutomaton &mapped() const { return ctx_->mapped(); }
 
     /** True when the bound automaton carries transition weights. */
-    bool scored() const { return scored_; }
+    bool scored() const { return ctx_->scored(); }
 
     /**
-     * Point-in-time copy of the per-block kernel-decision counters.
-     * Safe to call from another thread while feed() runs (the fields
-     * are kept in relaxed atomics and read individually, so the copy is
-     * approximately — not transactionally — consistent).
+     * Point-in-time copy of the engine's per-block kernel-decision
+     * counters (cumulative since construction; thread-safe).
      */
-    KernelDecisionStats kernelStats() const;
+    KernelDecisionStats kernelStats() const { return engine_.kernelStats(); }
 
   private:
-    /**
-     * The per-symbol steppers, instantiated twice at compile time: the
-     * Scored=false bodies are token-identical to the unscored kernels
-     * (score accumulation is an if-constexpr block), so unweighted
-     * automata pay nothing for the scoring subsystem.
-     */
-    template <bool Scored>
-    void feedSparseImpl(const uint8_t *data, size_t size);
-    template <bool Scored>
-    void feedDenseImpl(const uint8_t *data, size_t size);
+    CacheAutomatonSim(std::shared_ptr<const match::MatchContext> ctx,
+                      const SimOptions &opts);
 
-    /** Executes @p size symbols with the frontier-iterating stepper. */
-    void feedSparse(const uint8_t *data, size_t size);
-
-    /** Executes @p size symbols with the bit-parallel stepper. */
-    void feedDense(const uint8_t *data, size_t size);
-
-    /**
-     * Emits the cycle's reports in canonical (ascending state id) order
-     * and runs the §2.8 output-buffer accounting. Both kernels call
-     * this, which is what makes their report streams bit-identical.
-     */
-    void emitCycleReports();
-
-    /** Scored twin of emitCycleReports (same order, score payloads). */
-    void emitCycleReportsScored();
-
-    /** Resolves opts_.kernel against the $CA_SIM_KERNEL override. */
-    SimKernel effectiveKernel() const;
-
-    /** True when the next block should run the dense kernel. */
-    bool chooseDense();
-
-    /** Builds the dense tables once (no-op when already built). */
-    void ensureDenseTables();
-
-    /** Moves the live frontier between representations. */
-    void syncDenseFromSparse();
-    void syncSparseFromDense();
-
-    /** Keeps a loaded automaton alive; null when bound by reference. */
-    std::shared_ptr<const MappedAutomaton> owned_;
-    const MappedAutomaton &mapped_;
-    SimOptions opts_;
-
-    // Per-state precomputation, flattened for locality in the hot loop.
-    std::vector<uint32_t> partition_of_;
-    std::vector<uint8_t> cross_flags_; ///< bit0: G1 source, bit1: G4 source.
-    std::vector<StateId> all_input_;
-    /** Flat 4-word label images: labels_[s*4 + w]. */
-    std::vector<uint64_t> labels_;
-    /** CSR successor lists. */
-    std::vector<uint32_t> succ_xadj_;
-    std::vector<StateId> succ_;
-    /** Report flag + id packed: (id << 1) | report. */
-    std::vector<uint64_t> report_info_;
-
-    // Scoring tables (built only for weighted automata; empty otherwise).
-    bool scored_ = false;
-    /** Per-edge weights, CSR-parallel to succ_. */
-    std::vector<Weight> succ_w_;
-    /** Per-state start weights. */
-    std::vector<Weight> start_w_;
-
-    // Stream state.
-    std::vector<StateId> enabled_;
-    BitVector enabled_mask_;
-    std::vector<StateId> active_scratch_;
-    std::vector<uint64_t> partition_epoch_;
-    uint64_t epoch_counter_ = 0;
-    uint64_t pending_reports_ = 0;
-    /** Absolute stream position (survives restore; stamps reports). */
-    uint64_t stream_offset_ = 0;
-
-    /** States that fired a report this cycle (sorted before emission). */
-    std::vector<StateId> cycle_report_scratch_;
-    /** Scored twin: (state, score) pairs, sorted by state before emission. */
-    std::vector<std::pair<StateId, Score>> cycle_report_scored_;
-
-    // Scored-frontier state (allocated only when scored_). Sparse scores
-    // are state-indexed, valid where enabled_mask_ is set; dense scores
-    // are dense-indexed, valid where the frontier bit vector is set.
-    std::vector<Score> score_cur_;
-    std::vector<Score> score_nxt_;
-    std::vector<Score> dense_score_cur_;
-    std::vector<Score> dense_score_nxt_;
-    /** First-write-vs-combine discriminator for dense score targets. */
-    std::vector<uint64_t> dense_score_epoch_;
-    uint64_t dense_epoch_counter_ = 0;
-
-    // Dense-kernel precomputation (built lazily: a sparse-only sim pays
-    // nothing). Layouts use 4 words = 256 bits per partition, the §2.2
-    // array geometry; a state's dense index is partition*256 + slot.
-    bool dense_ready_ = false;
-    bool dense_unavailable_ = false;
-    uint32_t dense_partitions_ = 0;
-    /** state → dense index. */
-    std::vector<uint32_t> dense_index_of_;
-    /** dense index → state (kInvalidState for unused slots). */
-    std::vector<StateId> state_of_dense_;
-    /** Symbol-major row reads: rows_[((c*P)+p)*4 + w] (§2.2). */
-    std::vector<uint64_t> dense_rows_;
-    /** L-switch: per-state intra-partition successor masks
-        lswitch_[(dense_index*4) + w]. */
-    std::vector<uint64_t> dense_lswitch_;
-    /** G-switch: CSR of cross-partition successor dense indices. */
-    std::vector<uint32_t> dense_cross_xadj_;
-    std::vector<uint32_t> dense_cross_;
-    /** Per-partition G1-source / G4-source / reporting masks (p*4+w). */
-    std::vector<uint64_t> dense_g1_;
-    std::vector<uint64_t> dense_g4_;
-    std::vector<uint64_t> dense_report_;
-    /** Non-zero words of the all-input start mask, OR-ed in each cycle. */
-    std::vector<std::pair<uint32_t, uint64_t>> dense_allinput_words_;
-    /** Frontier vectors (current / next), P*256 bits each. */
-    BitVector dense_cur_;
-    BitVector dense_nxt_;
-    /** Which representation holds the live frontier. */
-    bool dense_active_ = false;
-
-    // Auto-kernel state.
-    double density_ewma_ = 0.0;
-    bool density_seeded_ = false;
-    int last_kernel_ = -1; ///< -1 none, 0 sparse, 1 dense.
-
-    // Engine-lifetime kernel-decision counters behind kernelStats().
-    // Relaxed atomics: written once per block on the feeding thread,
-    // read concurrently by StreamServer::inspect().
-    std::atomic<uint64_t> ks_sparse_blocks_{0};
-    std::atomic<uint64_t> ks_dense_blocks_{0};
-    std::atomic<uint64_t> ks_sparse_symbols_{0};
-    std::atomic<uint64_t> ks_dense_symbols_{0};
-    std::atomic<uint64_t> ks_flips_{0};
-    std::atomic<double> ks_density_{0.0};
-    std::atomic<int> ks_last_{-1};
-
-    SimResult acc_;
+    std::shared_ptr<const match::MatchContext> ctx_;
+    match::MatchEngine engine_;
+    ActivityObserver activity_;
 };
 
 } // namespace ca

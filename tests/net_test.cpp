@@ -5,8 +5,8 @@
  *
  * The load-bearing properties:
  *  - Determinism: the report stream a client collects over TCP is
- *    byte-identical to a single-threaded CacheAutomatonSim::run() over
- *    the same input, for any connections × streams × chunk-size split.
+ *    byte-identical to the scored CPU oracle's run over the same input,
+ *    for any connections × streams × chunk-size split.
  *  - Robustness: malformed frames, abrupt client death, over-cap
  *    connects, and idle peers tear down only their own connection; the
  *    server keeps serving everyone else. Hostile bytes can throw CaError
@@ -32,6 +32,7 @@
 #include "net/socket.h"
 #include "nfa/glushkov.h"
 #include "persist/artifact.h"
+#include "score/oracle.h"
 #include "sim/engine.h"
 #include "telemetry/snapshot.h"
 #include "workload/input_gen.h"
@@ -96,17 +97,21 @@ sampleInput(size_t bytes, uint64_t seed)
     return buildInput(spec, bytes, seed);
 }
 
+/**
+ * The single-threaded reference for one stream: the scored CPU oracle,
+ * which shares no code with the serving engines and gives exact reports
+ * (and, on weighted automata, exact scores).
+ */
 std::vector<Report>
 oracleReports(const MappedAutomaton &m, const std::vector<uint8_t> &input)
 {
-    CacheAutomatonSim sim(m);
-    return sim.run(input).reports;
+    return ScoredOracle(m.nfa()).run(input);
 }
 
 /**
  * sampleMapped()'s ruleset with deterministic nonzero transition/start
  * weights, for the scored (v4) wire paths. oracleReports() stays the
- * right oracle: the sim's reports carry exact scores.
+ * right oracle: its reports carry exact scores.
  */
 MappedAutomaton &
 sampleScoredMapped()
@@ -916,6 +921,10 @@ TEST(NetE2E, StatsPollMidLoadSeesMonotoneCounters)
     MatchClient client;
     client.connect("127.0.0.1", server.port());
     uint32_t id = client.openStream();
+    // OPEN_STREAM does not wait for the server, and ordering across
+    // connections is not a server contract: without this barrier the
+    // watcher's first poll can overtake it and see no session.
+    client.flush(id);
 
     uint64_t prev_symbols = 0, prev_bytes_in = 0, prev_frames_in = 0;
     constexpr size_t kChunk = 2048;

@@ -5,13 +5,15 @@
  * The load-bearing property is determinism: for any worker count, slice
  * quantum, chunk split, and scheduling interleaving, each session's
  * delivered report stream must be byte-identical to a single-threaded
- * CacheAutomatonSim::run() over the same input. The stress tests below
+ * run of the scored CPU oracle over the same input. The stress tests below
  * randomize all of those dimensions; the suite is also the target of the
  * ThreadSanitizer CI configuration (scripts/ci.sh).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "baseline/nfa_engine.h"
@@ -21,6 +23,7 @@
 #include "nfa/glushkov.h"
 #include "runtime/report_sink.h"
 #include "runtime/stream_server.h"
+#include "score/oracle.h"
 #include "sim/engine.h"
 #include "workload/input_gen.h"
 
@@ -52,12 +55,15 @@ sampleInput(size_t bytes, uint64_t seed)
     return buildInput(spec, bytes, seed);
 }
 
-/** The single-threaded reference for one stream. */
+/**
+ * The single-threaded reference for one stream: the scored CPU oracle,
+ * which shares no code with the serving engines and gives exact reports
+ * (and, on weighted automata, exact scores).
+ */
 std::vector<Report>
 oracleReports(const MappedAutomaton &m, const std::vector<uint8_t> &input)
 {
-    CacheAutomatonSim sim(m);
-    return sim.run(input).reports;
+    return ScoredOracle(m.nfa()).run(input);
 }
 
 TEST(StreamServer, SingleSessionMatchesSingleThreadedRun)
@@ -308,6 +314,78 @@ TEST(StreamServer, ResumeCheckpointValidated)
     SimCheckpoint bogus;
     bogus.enabledStates = {static_cast<StateId>(1u << 30)};
     EXPECT_THROW(server.open(sink, bogus), CaError);
+}
+
+/**
+ * Regression: open() must reject a checkpoint whose scores are not
+ * parallel to its states. Accepting it deferred the error to the first
+ * slice's restore, which throws on a worker thread, where nothing
+ * catches it and the whole server terminates.
+ */
+TEST(StreamServer, ResumeCheckpointScoresMustParallelStates)
+{
+    MappedAutomaton m = sampleMapped();
+    CountingSink sink;
+    StreamServer server(m);
+    SimCheckpoint bogus;
+    bogus.enabledStates = {0};
+    bogus.enabledScores = {1, 2};
+    EXPECT_THROW(server.open(sink, bogus), CaError);
+    EXPECT_EQ(server.stats().sessionsOpened, 0u);
+}
+
+/**
+ * Every symbol a worker serves is counted in its engine's kernel stats,
+ * including the bytes of a dead stream, which the engine skips without
+ * stepping: with the ParallelMatcher off, sparse plus dense symbols over
+ * all workers equal the server's symbol total. Checked on an unanchored
+ * ruleset and on an anchored one whose frontier dies after a few bytes.
+ */
+TEST(StreamServer, WorkerKernelStatsCountEveryServedSymbol)
+{
+    std::vector<uint8_t> anchored_input = sampleInput(16 << 10, 29);
+    const std::string prefix = "GET /in"; // lives 7 bytes, then dies
+    std::copy(prefix.begin(), prefix.end(), anchored_input.begin());
+    struct Case
+    {
+        const char *name;
+        MappedAutomaton mapped;
+        std::vector<uint8_t> input;
+    };
+    const Case cases[] = {
+        {"unanchored", sampleMapped(), sampleInput(16 << 10, 31)},
+        {"anchored", mapPerformance(compileRuleset({"^GET /index"})),
+         anchored_input},
+    };
+    for (const Case &c : cases) {
+        StreamServerOptions opts;
+        opts.workers = 2;
+        opts.sliceSymbols = 1000;
+        CollectingSink sink;
+        StreamServer server(c.mapped, opts);
+        if (server.parallelMatcher() != nullptr)
+            GTEST_SKIP() << "CA_MATCH_PARALLEL enables the ParallelMatcher";
+        std::vector<StreamSession *> sessions;
+        for (int i = 0; i < 3; ++i)
+            sessions.push_back(&server.open(sink));
+        for (size_t pos = 0; pos < c.input.size(); pos += 3000)
+            for (StreamSession *s : sessions)
+                s->submit(c.input.data() + pos,
+                          std::min<size_t>(3000, c.input.size() - pos));
+        for (StreamSession *s : sessions)
+            s->close();
+
+        runtime::ServerInspect snap = server.inspect();
+        uint64_t kernel_symbols = 0;
+        for (const KernelDecisionStats &k : snap.kernels)
+            kernel_symbols += k.sparseSymbols + k.denseSymbols;
+        EXPECT_EQ(snap.totals.symbols, 3 * c.input.size()) << c.name;
+        EXPECT_EQ(kernel_symbols, snap.totals.symbols) << c.name;
+        for (StreamSession *s : sessions)
+            EXPECT_EQ(sink.reports(s->id()),
+                      oracleReports(c.mapped, c.input))
+                << c.name;
+    }
 }
 
 /**
