@@ -228,4 +228,15 @@ ctest --test-dir build-tsan -L score --output-on-failure -j "$JOBS"
 CA_SIM_KERNEL=dense ctest --test-dir build-tsan -L runtime \
     --output-on-failure -j "$JOBS"
 
+# AddressSanitizer + UndefinedBehaviorSanitizer over the whole suite,
+# not one label: the kernels index per-byte start tables and dense
+# frontier words on every symbol, and every engine, decoder and serving
+# test drives that code. -fno-sanitize-recover makes a UBSan finding
+# fail its test instead of scrolling past as a warning.
+echo "=== configure build-asan (ASan+UBSan, full suite) ==="
+cmake -B build-asan -S . -DCA_TELEMETRY=ON \
+    "-DCMAKE_CXX_FLAGS=-g -fsanitize=address,undefined -fno-sanitize-recover=undefined"
+cmake --build build-asan -j "$JOBS"
+ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+
 echo "ci: all configurations passed"

@@ -32,9 +32,13 @@ MatchEngine::feed(const uint8_t *data, size_t size, Obs &obs)
     while (pos < size) {
         const bool use_dense = chooseDense();
         size_t block = size - pos;
-        if (auto_kernel && opts_.autoBlockSymbols > 0)
-            block = std::min(block,
-                             static_cast<size_t>(opts_.autoBlockSymbols));
+        if (auto_kernel && opts_.autoBlockSymbols > 0) {
+            // The block after a seed is a short probe (see chooseDense).
+            const uint32_t cap = density_probe_
+                ? std::max(opts_.autoBlockSymbols / 16, 1u)
+                : opts_.autoBlockSymbols;
+            block = std::min(block, static_cast<size_t>(cap));
+        }
         countBlock(use_dense, block);
         obs.block(use_dense, block);
 
@@ -43,6 +47,7 @@ MatchEngine::feed(const uint8_t *data, size_t size, Obs &obs)
         else if (!use_dense && dense_active_)
             syncSparseFromDense();
 
+        double mean_frontier = 0.0;
         if (frontierSize() == 0 && ctx_->all_input_.empty()) {
             // A dead stream stays dead: with no enabled states and no
             // always-on starts, no future symbol can fire anything, so
@@ -50,20 +55,60 @@ MatchEngine::feed(const uint8_t *data, size_t size, Obs &obs)
             // replaying past a died-out anchored ruleset nearly free.
             obs.skip(offset_, block);
             offset_ += block;
-        } else if (use_dense) {
-            if (ctx_->scored())
-                feedDenseImpl<true>(data + pos, block, obs);
-            else
-                feedDenseImpl<false>(data + pos, block, obs);
+        } else if (!auto_kernel) {
+            runKernel(use_dense, data + pos, block, obs);
         } else {
-            if (ctx_->scored())
-                feedSparseImpl<true>(data + pos, block, obs);
-            else
-                feedSparseImpl<false>(data + pos, block, obs);
+            // Auto wants the block's mean frontier, not one instant's:
+            // frontiers come in bursts, and the bursts decide which
+            // kernel is cheaper. Sample after each sixteenth.
+            const size_t part = std::max<size_t>(block / 16, 1);
+            size_t sum = 0, samples = 0;
+            for (size_t done = 0; done < block; done += part) {
+                runKernel(use_dense, data + pos + done,
+                          std::min(part, block - done), obs);
+                sum += frontierSize();
+                ++samples;
+            }
+            mean_frontier =
+                static_cast<double>(sum) / static_cast<double>(samples);
         }
         pos += block;
         if (auto_kernel)
-            sampleDensity();
+            sampleDensity(mean_frontier);
+    }
+}
+
+template <class Obs>
+void
+MatchEngine::runKernel(bool dense, const uint8_t *data, size_t size,
+                       Obs &obs)
+{
+    if (dense) {
+        if (ctx_->scored())
+            feedDenseImpl<true>(data, size, obs);
+        else
+            feedDenseImpl<false>(data, size, obs);
+    } else {
+        if (ctx_->scored())
+            feedSparseImpl<true>(data, size, obs);
+        else
+            feedSparseImpl<false>(data, size, obs);
+    }
+}
+
+template <bool Scored>
+void
+MatchEngine::gatherFixedReports(uint8_t c)
+{
+    const MatchContext &cx = *ctx_;
+    for (uint32_t k = cx.fixed_report_xadj_[c];
+         k < cx.fixed_report_xadj_[c + 1]; ++k) {
+        const StateId s = cx.fixed_report_[k];
+        if constexpr (Scored)
+            cycle_report_scored_.emplace_back(
+                s, static_cast<Score>(cx.start_w_[s]));
+        else
+            cycle_report_scratch_.push_back(s);
     }
 }
 
@@ -76,14 +121,19 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
     const uint64_t *report_info = cx.report_info_.data();
     const uint32_t *succ_xadj = cx.succ_xadj_.data();
     const StateId *succ = cx.succ_.data();
+    const uint32_t *fix_step_xadj = cx.fixed_step_xadj_.data();
     const bool gather_reports = collect_ || Obs::kCountsReports;
+    bool fixed = fixed_live_;
 
     for (size_t i = 0; i < size; ++i) {
         uint8_t c = data[i];
         const uint64_t label_bit = uint64_t{1} << (c & 63);
         const size_t label_word = c >> 6;
 
-        // State-match phase.
+        // State-match phase: the frontier's states, then the fixed
+        // starts' reports for this byte.
+        if (fixed)
+            obs.fixedStarts(c);
         obs.sparseFrontier(enabled_);
         active_scratch_.clear();
         for (StateId s : enabled_) {
@@ -98,6 +148,8 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
                     cycle_report_scratch_.push_back(s);
             }
         }
+        if (fixed && gather_reports)
+            gatherFixedReports<Scored>(c);
         if constexpr (Scored)
             obs.symbolEnd(offset_, emitCycleReportsScored());
         else
@@ -129,14 +181,28 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
                 enable(succ[e], cand);
             }
         }
-        // An always-on start competes with any incoming path at its
+        if (fixed) {
+            for (uint32_t k = fix_step_xadj[c]; k < fix_step_xadj[c + 1];
+                 ++k) {
+                const StateId s = cx.fixed_step_[k];
+                for (uint32_t e = succ_xadj[s]; e < succ_xadj[s + 1]; ++e)
+                    enable(succ[e],
+                           Scored ? static_cast<Score>(cx.start_w_[s]) +
+                                   static_cast<Score>(cx.succ_w_[e])
+                                  : 0);
+            }
+        }
+        // A re-entrant start competes with any incoming path at its
         // start weight (a fresh local alignment).
-        for (StateId s : cx.all_input_)
+        for (StateId s : cx.reentrant_)
             enable(s, Scored ? static_cast<Score>(cx.start_w_[s]) : 0);
         if constexpr (Scored)
             score_cur_.swap(score_nxt_);
         ++offset_;
+        fixed = true;
     }
+    if (size > 0)
+        fixed_live_ = true;
 }
 
 template <bool Scored, class Obs>
@@ -157,6 +223,9 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
     // clearing the score vector each symbol.
     Score *scur = Scored ? dense_score_cur_.data() : nullptr;
     Score *snxt = Scored ? dense_score_nxt_.data() : nullptr;
+    const uint32_t *fix_step_xadj = cx.fixed_step_xadj_.data();
+    const uint32_t *fix_dense_xadj = cx.fixed_dense_xadj_.data();
+    bool fixed = fixed_live_;
 
     for (size_t i = 0; i < size; ++i) {
         uint8_t c = data[i];
@@ -174,8 +243,12 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
             }
         };
 
+        if (fixed)
+            obs.fixedStarts(c);
         const uint64_t *rows = &cx.dense_rows_[static_cast<size_t>(c) *
                                                words];
+        // The frontier holds no fixed start, so a partition whose only
+        // enabled states are fixed starts is skipped here.
         for (uint32_t p = 0; p < P; ++p) {
             const size_t base = static_cast<size_t>(p) *
                 kWordsPerPartition;
@@ -185,7 +258,7 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
             const uint64_t e3 = cur[base + 3];
             if (!(e0 | e1 | e2 | e3))
                 continue;
-            obs.densePartition(e0, e1, e2, e3);
+            obs.densePartition(p, e0, e1, e2, e3);
             // The §2.2 row read: the SRAM row *is* the match vector.
             uint64_t m[4] = {e0 & rows[base + 0], e1 & rows[base + 1],
                              e2 & rows[base + 2], e3 & rows[base + 3]};
@@ -242,15 +315,34 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
                 }
             }
         }
+        // The fixed starts: the byte's reports and successor words.
+        if (fixed) {
+            if (gather_reports)
+                gatherFixedReports<Scored>(c);
+            for (uint32_t k = fix_dense_xadj[c]; k < fix_dense_xadj[c + 1];
+                 ++k)
+                nxt[cx.fixed_dense_[k].first] |= cx.fixed_dense_[k].second;
+            if constexpr (Scored) {
+                for (uint32_t k = fix_step_xadj[c];
+                     k < fix_step_xadj[c + 1]; ++k) {
+                    const StateId s = cx.fixed_step_[k];
+                    const Score from = static_cast<Score>(cx.start_w_[s]);
+                    for (uint32_t e = cx.succ_xadj_[s];
+                         e < cx.succ_xadj_[s + 1]; ++e)
+                        relax(cx.dense_index_of_[cx.succ_[e]],
+                              from + static_cast<Score>(cx.succ_w_[e]));
+                }
+            }
+        }
         if constexpr (Scored)
             obs.symbolEnd(offset_, emitCycleReportsScored());
         else
             obs.symbolEnd(offset_, emitCycleReports());
 
-        for (const auto &[w, mask] : cx.dense_allinput_words_)
+        for (const auto &[w, mask] : cx.dense_reentrant_words_)
             nxt[w] |= mask;
         if constexpr (Scored) {
-            for (StateId s : cx.all_input_)
+            for (StateId s : cx.reentrant_)
                 relax(cx.dense_index_of_[s],
                       static_cast<Score>(cx.start_w_[s]));
         }
@@ -259,7 +351,10 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
         if constexpr (Scored)
             std::swap(scur, snxt);
         ++offset_;
+        fixed = true;
     }
+    if (size > 0)
+        fixed_live_ = true;
     // An odd symbol count leaves the live frontier in dense_nxt_'s
     // storage; swap the vectors so dense_cur_ owns it again.
     if (cur != dense_cur_.raw().data())

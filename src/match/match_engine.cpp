@@ -83,6 +83,7 @@ MatchContext::MatchContext(const MappedAutomaton &mapped) : mapped_(mapped)
     num_states_ = mapped.nfa().numStates();
     buildSparseTables();
     buildDenseTables();
+    buildStartTables();
     buildFrontiers();
 }
 
@@ -242,17 +243,101 @@ MatchContext::buildDenseTables()
         }
     }
 
-    std::vector<uint64_t> allinput(words, 0);
-    for (StateId s : all_input_) {
-        uint32_t di = dense_index_of_[s];
-        allinput[di >> 6] |= uint64_t{1} << (di & 63);
-    }
-    for (size_t w = 0; w < allinput.size(); ++w)
-        if (allinput[w])
-            dense_allinput_words_.emplace_back(static_cast<uint32_t>(w),
-                                               allinput[w]);
-
     dense_available_ = true;
+}
+
+void
+MatchContext::buildStartTables()
+{
+    // Split the all-input starts: one with an in-edge can also be
+    // enabled by a path (with another score), so it stays in the
+    // frontier; one without is a fixed start.
+    std::vector<uint8_t> has_in_edge(num_states_, 0);
+    for (StateId t : succ_)
+        has_in_edge[t] = 1;
+    for (StateId s : all_input_)
+        (has_in_edge[s] ? reentrant_ : fixed_).push_back(s);
+
+    // Per-byte CSRs, built per fixed start from its label bits: count,
+    // prefix-sum, fill. Filling in ascending state order keeps each
+    // byte's lists sorted.
+    auto forEachByte = [&](StateId s, auto &&fn) {
+        for (int w = 0; w < 4; ++w) {
+            for (uint64_t bits = labels_[s * 4 + w]; bits;
+                 bits &= bits - 1)
+                fn(static_cast<size_t>(w) * 64 +
+                   static_cast<size_t>(std::countr_zero(bits)));
+        }
+    };
+    fixed_step_xadj_.assign(257, 0);
+    fixed_report_xadj_.assign(257, 0);
+    for (StateId s : fixed_) {
+        const bool steps = succ_xadj_[s + 1] > succ_xadj_[s];
+        const bool reports = report_info_[s] & 1;
+        forEachByte(s, [&](size_t c) {
+            fixed_step_xadj_[c + 1] += steps ? 1 : 0;
+            fixed_report_xadj_[c + 1] += reports ? 1 : 0;
+        });
+    }
+    for (size_t c = 0; c < 256; ++c) {
+        fixed_step_xadj_[c + 1] += fixed_step_xadj_[c];
+        fixed_report_xadj_[c + 1] += fixed_report_xadj_[c];
+    }
+    fixed_step_.resize(fixed_step_xadj_.back());
+    fixed_report_.resize(fixed_report_xadj_.back());
+    std::vector<uint32_t> step_fill(fixed_step_xadj_.begin(),
+                                    fixed_step_xadj_.end() - 1);
+    std::vector<uint32_t> report_fill(fixed_report_xadj_.begin(),
+                                      fixed_report_xadj_.end() - 1);
+    for (StateId s : fixed_) {
+        const bool steps = succ_xadj_[s + 1] > succ_xadj_[s];
+        const bool reports = report_info_[s] & 1;
+        forEachByte(s, [&](size_t c) {
+            if (steps)
+                fixed_step_[step_fill[c]++] = s;
+            if (reports)
+                fixed_report_[report_fill[c]++] = s;
+        });
+    }
+
+    if (!dense_available_)
+        return;
+    // Dense masks, built in a scratch image that is left clear after
+    // each use: first the re-entrant starts' words.
+    std::vector<uint64_t> image(
+        static_cast<size_t>(dense_partitions_) * kWordsPerPartition, 0);
+    for (StateId s : reentrant_) {
+        const uint32_t di = dense_index_of_[s];
+        image[di >> 6] |= uint64_t{1} << (di & 63);
+    }
+    for (size_t w = 0; w < image.size(); ++w) {
+        if (image[w])
+            dense_reentrant_words_.emplace_back(static_cast<uint32_t>(w),
+                                                image[w]);
+        image[w] = 0;
+    }
+    // Then each byte's successor image: set the bits of its stepping
+    // fixed starts' successors, emit the words they touched, clear them.
+    fixed_dense_xadj_.assign(257, 0);
+    std::vector<uint32_t> touched;
+    for (size_t c = 0; c < 256; ++c) {
+        for (uint32_t k = fixed_step_xadj_[c]; k < fixed_step_xadj_[c + 1];
+             ++k) {
+            const StateId s = fixed_step_[k];
+            for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e) {
+                const uint32_t di = dense_index_of_[succ_[e]];
+                if (!image[di >> 6])
+                    touched.push_back(di >> 6);
+                image[di >> 6] |= uint64_t{1} << (di & 63);
+            }
+        }
+        for (uint32_t w : touched) {
+            fixed_dense_.emplace_back(w, image[w]);
+            image[w] = 0;
+        }
+        touched.clear();
+        fixed_dense_xadj_[c + 1] = static_cast<uint32_t>(fixed_dense_.size());
+    }
 }
 
 void
@@ -361,11 +446,31 @@ MatchEngine::setState(const std::vector<StateId> &frontier,
                 score_cur_[s] = scores.empty() ? 0 : scores[i];
         }
     }
+    fixed_live_ = factorFixedStarts();
     density_seeded_ = false;
     offset_ = offset;
     reports_.clear();
     cycle_report_scratch_.clear();
     cycle_report_scored_.clear();
+}
+
+bool
+MatchEngine::factorFixedStarts()
+{
+    const MatchContext &cx = *ctx_;
+    for (StateId s : cx.fixed_) {
+        if (!enabled_mask_.testUnchecked(s))
+            return false;
+        if (cx.scored() &&
+            score_cur_[s] != static_cast<Score>(cx.start_w_[s]))
+            return false;
+    }
+    // Clearing their mask bits marks them for the erase.
+    for (StateId s : cx.fixed_)
+        enabled_mask_.resetUnchecked(s);
+    std::erase_if(enabled_,
+                  [&](StateId s) { return !enabled_mask_.testUnchecked(s); });
+    return true;
 }
 
 SimCheckpoint
@@ -388,6 +493,10 @@ MatchEngine::checkpoint() const
     } else {
         for (StateId s : enabled_)
             pairs.emplace_back(s, score_cur_[s]);
+    }
+    if (fixed_live_) {
+        for (StateId s : ctx_->fixed_)
+            pairs.emplace_back(s, static_cast<Score>(ctx_->start_w_[s]));
     }
     std::sort(pairs.begin(), pairs.end());
     ckpt.enabledStates.reserve(pairs.size());
@@ -416,6 +525,8 @@ MatchEngine::frontier() const
     } else {
         out = enabled_;
     }
+    if (fixed_live_)
+        out.insert(out.end(), ctx_->fixed_.begin(), ctx_->fixed_.end());
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -456,30 +567,36 @@ MatchEngine::chooseDense()
     if (kernel == SimKernel::Dense)
         return true;
     // Auto: seed the EWMA from the current frontier density so an
-    // engine loaded with a hot frontier starts on the right kernel.
+    // engine loaded with a hot frontier starts on the right kernel. The
+    // seed is one sample, and at offset 0 it lacks everything the fixed
+    // starts are about to enable, so the first block after it is a
+    // short probe whose sample replaces it.
     const size_t n = ctx_->numStates();
     if (!density_seeded_) {
         density_ewma_ = static_cast<double>(frontierSize()) /
             static_cast<double>(n);
         density_seeded_ = true;
+        density_probe_ = true;
     }
-    return density_ewma_ > opts_.autoDensityThreshold;
+    return density_ewma_ >= opts_.autoDensityThreshold;
 }
 
 void
-MatchEngine::sampleDensity()
+MatchEngine::sampleDensity(double mean_frontier)
 {
     // Sample the *enabled frontier*, not the matched count: the sparse
-    // kernel's per-symbol cost is one label test per enabled state
-    // (always-enabled all-input starts included), so frontier size is
-    // the quantity the crossover tracks.
+    // kernel's per-symbol cost is one label test per enabled state. The
+    // fixed starts are left out, because both kernels serve them from
+    // the same per-byte tables at the same cost.
     const size_t n = ctx_->numStates();
     if (n == 0)
         return;
-    double sample =
-        static_cast<double>(frontierSize()) / static_cast<double>(n);
-    density_ewma_ = opts_.autoEwmaAlpha * sample +
-        (1.0 - opts_.autoEwmaAlpha) * density_ewma_;
+    const double sample = mean_frontier / static_cast<double>(n);
+    density_ewma_ = density_probe_
+        ? sample
+        : opts_.autoEwmaAlpha * sample +
+            (1.0 - opts_.autoEwmaAlpha) * density_ewma_;
+    density_probe_ = false;
     ks_density_.store(density_ewma_, std::memory_order_relaxed);
 }
 

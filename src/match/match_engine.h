@@ -46,9 +46,11 @@ namespace ca {
  *    with whole 64-bit words. Cost is O(partitions) per symbol
  *    regardless of activity; wins on high-activity automata (Fermi,
  *    SPM, Protomata-class).
- *  - Auto: per-block selection on an EWMA of enabled-frontier density
- *    (enabled states ÷ total states) — the sparse kernel's actual cost
- *    driver, which includes always-enabled all-input start states.
+ *  - Auto: per-block selection on an EWMA of the non-start frontier's
+ *    density (enabled states ÷ total states, not counting the fixed
+ *    starts). Both kernels serve the fixed starts — all-input starts
+ *    with no in-edge — from the same per-byte tables, so only the rest
+ *    of the frontier separates their costs.
  *
  * All kernels are bit-identical: same report stream, same activity
  * counters (enforced against the CPU oracle by tests/kernel_test.cpp).
@@ -98,7 +100,8 @@ struct KernelDecisionStats
     uint64_t sparseSymbols = 0;
     uint64_t denseSymbols = 0;
     uint64_t kernelFlips = 0;    ///< Consecutive blocks on different kernels.
-    double densityEwma = 0.0;    ///< Current frontier-density EWMA.
+    /** Current EWMA of the non-start frontier's density (Auto's signal). */
+    double densityEwma = 0.0;
     int lastKernel = -1;         ///< -1 none yet, 0 sparse, 1 dense.
 };
 
@@ -133,17 +136,21 @@ struct MatchOptions
      */
     SimKernel kernel = SimKernel::Auto;
     /**
-     * Auto: run the dense kernel while the EWMA of enabled-frontier
-     * density (enabled states ÷ total states) exceeds this. The default
-     * sits in the measured crossover band (bench_kernel_comparison:
-     * sparse still wins at ~0.011, dense from ~0.025 — about 3-6
-     * enabled states per 256-slot partition, since one sparse state
-     * visit costs several of the dense scan's sequential word ops).
+     * Auto: run the dense kernel while the EWMA of the non-start
+     * frontier's density (enabled states other than the fixed starts ÷
+     * total states) is at least this, so 0 pins dense and anything
+     * above 1 pins sparse. The default is the measured crossover
+     * (bench_kernel_comparison, MatchEngine timings: sparse wins every
+     * suite row at or below ~0.002, dense every row from ~0.003).
      */
-    double autoDensityThreshold = 0.02;
+    double autoDensityThreshold = 0.003;
     /** Auto: EWMA smoothing factor for per-block density samples. */
     double autoEwmaAlpha = 0.25;
-    /** Auto: symbols per block between kernel re-evaluations. */
+    /**
+     * Auto: symbols per block between kernel re-evaluations. The first
+     * block after the EWMA is seeded (on the first feed after setState)
+     * is a probe of 1/16 of this.
+     */
     uint32_t autoBlockSymbols = 4096;
     /**
      * ⊕ for weighted automata (docs/SCORING.md): how alternative path
@@ -157,7 +164,14 @@ struct MatchOptions
 /**
  * Immutable per-automaton tables shared by every MatchEngine bound to
  * the same mapped automaton, plus the two frontier sets the speculative
- * chunk-parallel matcher needs:
+ * chunk-parallel matcher needs. Among the tables are the fixed starts'
+ * per-byte effects: an all-input start with no in-edge is enabled
+ * before every symbol at its start weight and by nothing else, so what
+ * it contributes to a step depends on the input byte alone (the
+ * hardware's constant all-input mask, §2.2). For each byte the context
+ * lists which fixed starts report and which step (their successors
+ * carry startWeight + edge weight), and the successors as dense (word,
+ * mask) pairs.
  *
  *  - startFrontier(): the exact offset-0 frontier (StartOfData and
  *    AllInput start states).
@@ -206,6 +220,13 @@ class MatchContext
         return reachable_frontier_;
     }
 
+    /**
+     * The fixed starts, sorted: all-input starts with no in-edge. The
+     * kernels serve them from per-byte tables rather than the frontier;
+     * frontier() and checkpoint() still list them.
+     */
+    const std::vector<StateId> &fixedStarts() const { return fixed_; }
+
     const MappedAutomaton &mapped() const { return mapped_; }
 
   private:
@@ -213,6 +234,7 @@ class MatchContext
 
     void buildSparseTables();
     void buildDenseTables();
+    void buildStartTables();
     void buildFrontiers();
 
     /** Keeps a loaded automaton alive; null when bound by reference. */
@@ -222,6 +244,10 @@ class MatchContext
 
     // Sparse tables.
     std::vector<StateId> all_input_;
+    /** All-input starts with an in-edge: re-enabled into the frontier. */
+    std::vector<StateId> reentrant_;
+    /** All-input starts without one (fixedStarts()). */
+    std::vector<StateId> fixed_;
     /** Flat 4-word label images: labels_[s*4 + w]. */
     std::vector<uint64_t> labels_;
     /** CSR successor lists. */
@@ -251,8 +277,24 @@ class MatchContext
     std::vector<uint32_t> dense_cross_;
     /** Per-partition reporting mask (p*4+w). */
     std::vector<uint64_t> dense_report_;
-    /** Non-zero words of the all-input start mask, OR-ed in each cycle. */
-    std::vector<std::pair<uint32_t, uint64_t>> dense_allinput_words_;
+    /** Non-zero words of the re-entrant starts' mask, OR-ed in each cycle. */
+    std::vector<std::pair<uint32_t, uint64_t>> dense_reentrant_words_;
+
+    // Fixed-start tables: CSRs over the input byte (257 offsets each).
+    /** Fixed starts that match byte c and report, ascending. */
+    std::vector<uint32_t> fixed_report_xadj_;
+    std::vector<StateId> fixed_report_;
+    /**
+     * Fixed starts that match byte c and have successors, ascending:
+     * the kernels walk their successor lists (edge weights included).
+     * One entry per label byte, not per label byte and edge, keeps a
+     * wide-label start from multiplying its out-degree by 256.
+     */
+    std::vector<uint32_t> fixed_step_xadj_;
+    std::vector<StateId> fixed_step_;
+    /** Byte c's fixed-start successors as dense (word, mask) pairs. */
+    std::vector<uint32_t> fixed_dense_xadj_;
+    std::vector<std::pair<uint32_t, uint64_t>> fixed_dense_;
 
     // Precomputed frontier sets (sorted, deduplicated).
     std::vector<StateId> start_frontier_;
@@ -285,8 +327,17 @@ struct NullObserver
     void sparseFrontier(const std::vector<StateId> & /*enabled*/) {}
     /** Sparse kernel: state @p s matched the symbol. */
     void sparseMatch(StateId /*s*/) {}
-    /** Dense kernel: a partition with enabled states (its 4 words). */
-    void densePartition(uint64_t, uint64_t, uint64_t, uint64_t) {}
+    /**
+     * The fixed starts are enabled for this symbol, whose byte is @p c.
+     * Called before the frontier hooks; the frontier hooks then see
+     * every other enabled state.
+     */
+    void fixedStarts(uint8_t /*c*/) {}
+    /** Dense kernel: partition @p p has enabled states (its 4 words). */
+    void densePartition(uint32_t /*p*/, uint64_t, uint64_t, uint64_t,
+                        uint64_t)
+    {
+    }
     /** Dense kernel: the matched bits of dense frontier word @p word. */
     void denseMatch(size_t /*word*/, uint64_t /*matched*/) {}
     /** The symbol at @p offset finished; @p fired states reported. */
@@ -382,6 +433,9 @@ class MatchEngine
     const MatchContext &context() const { return *ctx_; }
 
   private:
+    /** Runs @p size symbols on one kernel, scored or not. */
+    template <class Obs>
+    void runKernel(bool dense, const uint8_t *data, size_t size, Obs &obs);
     /** Steppers, instantiated scored/unscored at compile time (the
         Scored=false bodies are the exact unweighted kernels). */
     template <bool Scored, class Obs>
@@ -389,6 +443,9 @@ class MatchEngine
     template <bool Scored, class Obs>
     void feedDenseImpl(const uint8_t *data, size_t size, Obs &obs);
 
+    /** Queues the reports of the fixed starts that match byte @p c. */
+    template <bool Scored>
+    void gatherFixedReports(uint8_t c);
     /**
      * Emits the symbol's reports in canonical (ascending state id)
      * order when collecting; returns how many states fired.
@@ -401,11 +458,18 @@ class MatchEngine
     /** Moves the live frontier between representations. */
     void syncDenseFromSparse();
     void syncSparseFromDense();
+    /**
+     * Takes the fixed starts out of a just-loaded sparse frontier when
+     * all of them are in it at their start weights; returns whether it
+     * did (the fixed_live_ invariant).
+     */
+    bool factorFixedStarts();
+    /** States in the kernels' frontier: the fixed starts are not. */
     size_t frontierSize() const;
     /** Engine-lifetime decision counters for one dispatched block. */
     void countBlock(bool dense, size_t symbols);
-    /** Feeds the block's end-of-block frontier density to the EWMA. */
-    void sampleDensity();
+    /** Feeds a block's mean frontier size to the density EWMA. */
+    void sampleDensity(double mean_frontier);
 
     std::shared_ptr<const MatchContext> ctx_;
     MatchOptions opts_;
@@ -425,6 +489,15 @@ class MatchEngine
     BitVector dense_nxt_;
     bool dense_active_ = false;
 
+    /**
+     * The fixed starts are enabled at their start weights and held in
+     * neither representation; the kernels apply the byte's tables. False
+     * only until the first symbol after setState() loaded a frontier
+     * lacking one of them (or carrying a different score), whose fixed
+     * starts then sit in the frontier like any other state.
+     */
+    bool fixed_live_ = false;
+
     // Scored-frontier state (allocated only for weighted automata).
     // Sparse scores are state-indexed, valid where enabled_mask_ is set;
     // dense scores are dense-indexed, valid where dense_cur_ is set.
@@ -439,6 +512,8 @@ class MatchEngine
     // Auto-kernel state.
     double density_ewma_ = 0.0;
     bool density_seeded_ = false;
+    /** The block in flight is the short probe that follows a seed. */
+    bool density_probe_ = false;
 
     uint64_t offset_ = 0;
     std::vector<Report> reports_;

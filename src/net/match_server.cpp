@@ -1105,7 +1105,13 @@ MatchServer::readerLoop(Connection &c)
     c.out_cv.notify_all();
     if (c.writer.joinable())
         c.writer.join();
-    c.fd.close();
+    {
+        // stop() shuts live connections down under this lock; closing
+        // under it too keeps stop() off a descriptor that is being
+        // closed, or that the kernel has already handed to a new socket.
+        std::lock_guard<std::mutex> lock(conns_mutex_);
+        c.fd.close();
+    }
 
     active_.fetch_sub(1);
     {

@@ -104,6 +104,22 @@ ActivityObserver::ActivityObserver(const match::MatchContext &ctx,
         cross_flags_[e.from] |= e.viaG4 ? 2 : 1;
     partition_epoch_.assign(mapped.numPartitions(), ~0ull);
 
+    fixed_partition_.assign(mapped.numPartitions(), 0);
+    for (StateId s : ctx.fixedStarts()) {
+        ++fixed_states_;
+        fixed_partition_[partition_of_[s]] = 1;
+        const SymbolSet &label = mapped.nfa().state(s).label;
+        for (int c = 0; c < 256; ++c) {
+            if (!label.test(static_cast<uint8_t>(c)))
+                continue;
+            ++fixed_matched_[c];
+            fixed_g1_[c] += cross_flags_[s] & 1;
+            fixed_g4_[c] += (cross_flags_[s] >> 1) & 1;
+        }
+    }
+    for (uint8_t f : fixed_partition_)
+        fixed_partitions_ += f;
+
     // Per-word G1/G4 source masks: the dense kernel counts crossings
     // word-parallel, one popcount per matched word.
     if (ctx.denseAvailable()) {
@@ -155,6 +171,19 @@ ActivityObserver::skip(uint64_t offset, size_t symbols)
 }
 
 void
+ActivityObserver::fixedStarts(uint8_t c)
+{
+    // Every partition holding a fixed start is active this cycle; the
+    // frontier hooks then count only the other partitions.
+    fixed_cycle_ = true;
+    acc_.totalEnabledStates += fixed_states_;
+    cycle_partitions_ += fixed_partitions_;
+    cycle_active_ += fixed_matched_[c];
+    cycle_g1_ += fixed_g1_[c];
+    cycle_g4_ += fixed_g4_[c];
+}
+
+void
 ActivityObserver::sparseFrontier(const std::vector<StateId> &enabled)
 {
     acc_.totalEnabledStates += enabled.size();
@@ -163,6 +192,8 @@ ActivityObserver::sparseFrontier(const std::vector<StateId> &enabled)
     const uint64_t epoch = ++epoch_counter_;
     for (StateId s : enabled) {
         uint32_t p = partition_of_[s];
+        if (fixed_cycle_ && fixed_partition_[p])
+            continue;
         if (partition_epoch_[p] != epoch) {
             partition_epoch_[p] = epoch;
             ++cycle_partitions_;
@@ -182,10 +213,11 @@ ActivityObserver::sparseMatch(StateId s)
 }
 
 void
-ActivityObserver::densePartition(uint64_t e0, uint64_t e1, uint64_t e2,
-                                 uint64_t e3)
+ActivityObserver::densePartition(uint32_t p, uint64_t e0, uint64_t e1,
+                                 uint64_t e2, uint64_t e3)
 {
-    ++cycle_partitions_;
+    if (!(fixed_cycle_ && fixed_partition_[p]))
+        ++cycle_partitions_;
     acc_.totalEnabledStates += static_cast<uint64_t>(
         std::popcount(e0) + std::popcount(e1) + std::popcount(e2) +
         std::popcount(e3));
@@ -229,6 +261,7 @@ ActivityObserver::symbolEnd(uint64_t offset, size_t fired)
                                         static_cast<uint32_t>(fired)});
     }
     cycle_partitions_ = cycle_active_ = cycle_g1_ = cycle_g4_ = 0;
+    fixed_cycle_ = false;
     ++acc_.symbols;
 }
 

@@ -28,6 +28,7 @@
 #ifndef CA_SIM_ENGINE_H
 #define CA_SIM_ENGINE_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -80,7 +81,8 @@ struct SimResult
     uint64_t totalActiveStates = 0;
     /**
      * Sum over symbols of the enabled-frontier size (states holding an
-     * enable bit when the symbol arrives, matched or not). This is the
+     * enable bit when the symbol arrives, matched or not), fixed starts
+     * included. Less the fixed starts' constant share, this is the
      * sparse kernel's per-symbol workload and the quantity the Auto
      * selector's density EWMA tracks.
      */
@@ -117,7 +119,10 @@ struct SimResult
  * interrupts, the optional cycle trace, and which kernel ran each
  * symbol. Both kernels feed it the same per-cycle quantities — the
  * sparse one per matched state, the dense one per matched 64-bit word —
- * so the counters are bit-identical across kernels.
+ * so the counters are bit-identical across kernels. The fixed starts,
+ * which the kernels keep out of the frontier, are added back per
+ * symbol from per-byte counts, so the counters also equal those of a
+ * frontier that holds them (the hardware's view).
  */
 class ActivityObserver
 {
@@ -136,9 +141,10 @@ class ActivityObserver
 
     void block(bool dense, size_t symbols);
     void skip(uint64_t offset, size_t symbols);
+    void fixedStarts(uint8_t c);
     void sparseFrontier(const std::vector<StateId> &enabled);
     void sparseMatch(StateId s);
-    void densePartition(uint64_t e0, uint64_t e1, uint64_t e2,
+    void densePartition(uint32_t p, uint64_t e0, uint64_t e1, uint64_t e2,
                         uint64_t e3);
     void denseMatch(size_t word, uint64_t matched);
     void symbolEnd(uint64_t offset, size_t fired);
@@ -158,6 +164,18 @@ class ActivityObserver
     /** Sparse active-partition detection: last epoch each was seen. */
     std::vector<uint64_t> partition_epoch_;
     uint64_t epoch_counter_ = 0;
+
+    // The fixed starts' share of a symbol they are enabled for.
+    uint32_t fixed_states_ = 0;
+    /** Partitions holding a fixed start, and how many there are. */
+    std::vector<uint8_t> fixed_partition_;
+    uint32_t fixed_partitions_ = 0;
+    /** Per byte: the fixed starts it matches, and their G1/G4 sources. */
+    std::array<uint32_t, 256> fixed_matched_{};
+    std::array<uint32_t, 256> fixed_g1_{};
+    std::array<uint32_t, 256> fixed_g4_{};
+    /** The current symbol enables the fixed starts. */
+    bool fixed_cycle_ = false;
 
     // The current cycle's activity.
     uint32_t cycle_partitions_ = 0;

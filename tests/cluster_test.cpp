@@ -462,6 +462,10 @@ TEST(ClusterSwap, AdminSwapBySourcePathUnderLiveLoad)
     uint32_t stream = live.openStream();
     size_t half = input.size() / 2;
     live.send(stream, input.data(), half);
+    // OPEN_STREAM and DATA are fire-and-forget, and ordering across
+    // connections is not a server contract: without this barrier the
+    // admin swap can land before the stream opens on the old ruleset.
+    live.flush(stream);
 
     MatchClient admin;
     admin.connect("127.0.0.1", server.adminPort());

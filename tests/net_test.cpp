@@ -970,8 +970,9 @@ TEST(NetE2E, StatsPollMidLoadSeesMonotoneCounters)
     ASSERT_NO_THROW(
         snap = telemetry::MetricsSnapshot::deserialize(b.metricsSnapshot));
 #if CA_TELEMETRY
-    if (b.telemetryEnabled)
+    if (b.telemetryEnabled) {
         EXPECT_GT(snap.size(), 0u);
+    }
 #endif
 
     // Same-connection (truly in-band) polling works too.
