@@ -728,7 +728,6 @@ namespace {
 void
 recordMappingMetrics(const MappingStats &stats)
 {
-    (void)stats; // unused when compiled with CA_TELEMETRY=0
     CA_COUNTER_ADD("ca.compiler.maps", 1);
     CA_COUNTER_ADD("ca.compiler.partitions_mapped", stats.partitions);
     CA_COUNTER_ADD("ca.compiler.g1_edges", stats.g1Edges);

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 
-#include "core/logging.h"
 #include "telemetry/telemetry.h"
 
 namespace ca::match {
 
 namespace {
 
-#if CA_TELEMETRY
 /**
  * Registry handles for the ca.match.* counters, resolved once per
  * process. Flushed once per match() call, never per chunk or symbol.
@@ -45,7 +42,6 @@ struct MatchCounters
         return c;
     }
 };
-#endif
 
 size_t
 hardwareDegree()
@@ -70,26 +66,6 @@ parseMatchParallel(std::string_view value)
     if (ec == std::errc{} && ptr == last && n >= 2)
         return n;
     return std::nullopt;
-}
-
-std::optional<size_t>
-matchParallelEnvOverride()
-{
-    static const std::optional<size_t> parsed = [] {
-        std::optional<size_t> out;
-        const char *env = std::getenv("CA_MATCH_PARALLEL");
-        if (!env || !*env)
-            return out;
-        out = parseMatchParallel(env);
-        if (!out) {
-            CA_WARN("CA_MATCH_PARALLEL="
-                    << env
-                    << " is not off/auto/<count>; falling back to auto");
-            out = hardwareDegree();
-        }
-        return out;
-    }();
-    return parsed;
 }
 
 ParallelMatcher::ParallelMatcher(std::shared_ptr<const MatchContext> ctx,
@@ -230,7 +206,6 @@ ParallelMatcher::runLocked(const std::vector<StateId> &frontier,
         ++stats_.serialCalls;
         stats_.bytes += size;
         ++stats_.chunks;
-#if CA_TELEMETRY
         if (telemetry::enabled()) {
             MatchCounters &mc = MatchCounters::get();
             mc.calls.add(1);
@@ -238,7 +213,6 @@ ParallelMatcher::runLocked(const std::vector<StateId> &frontier,
             mc.bytes.add(size);
             mc.chunks.add(1);
         }
-#endif
         return out;
     }
 
@@ -320,7 +294,6 @@ ParallelMatcher::runLocked(const std::vector<StateId> &frontier,
         stats_.replayedBytes += replayed_bytes;
         stats_.joinMicros += join_micros;
     }
-#if CA_TELEMETRY
     if (telemetry::enabled()) {
         MatchCounters &mc = MatchCounters::get();
         mc.calls.add(1);
@@ -331,7 +304,6 @@ ParallelMatcher::runLocked(const std::vector<StateId> &frontier,
         mc.replayedBytes.add(replayed_bytes);
         mc.joinMicros.add(join_micros);
     }
-#endif
     return out;
 }
 

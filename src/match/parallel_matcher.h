@@ -169,19 +169,11 @@ class ParallelMatcher
 };
 
 /**
- * Parses a CA_MATCH_PARALLEL / --match-parallel value into a degree:
+ * Parses a --match-parallel value into a degree:
  * "off"/"0"/"1" = disabled (0), "auto" = one per hardware thread,
  * an integer >= 2 = that many workers. nullopt on anything else.
  */
 std::optional<size_t> parseMatchParallel(std::string_view value);
-
-/**
- * The $CA_MATCH_PARALLEL override, parsed once per process.
- * Unrecognized values warn once and fall back to "auto" (mirroring
- * $CA_SIM_KERNEL's unknown-value handling). Returns nullopt only when
- * the variable is unset/empty.
- */
-std::optional<size_t> matchParallelEnvOverride();
 
 } // namespace ca::match
 

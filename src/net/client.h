@@ -134,7 +134,7 @@ class MatchClient
      * matching STATS_REPLY (REPORTS arriving in between are absorbed
      * into their buffers as usual). @p sections selects which
      * StatsSection bits the server should fill; check the reply's
-     * telemetryCompiled/telemetryEnabled flags before reading Metrics.
+     * telemetryEnabled flag before reading Metrics.
      */
     StatsReplyBody requestStats(uint32_t sections = kStatsAllSections);
 

@@ -1,7 +1,6 @@
 #include "net/match_server.h"
 
 #include <chrono>
-#include <fstream>
 #include <sys/socket.h>
 
 #include "core/error.h"
@@ -133,9 +132,6 @@ class MatchServer::ConnectionSink final : public runtime::ReportSink
             if (wire_scored)
                 server_.stats_.scoredReportsSent += count;
         }
-        CA_COUNTER_ADD("ca.net.reports_sent", count);
-        if (wire_scored)
-            CA_COUNTER_ADD("ca.net.scored_reports_sent", count);
     }
 
   private:
@@ -256,16 +252,8 @@ MatchServer::fromArtifact(const std::string &path,
     CA_TRACE_SCOPE_CAT("ca.net.server_from_artifact", "ca.net");
     // Keep the file's own bytes: they are what peers replicate, and the
     // fingerprint ignores META, so the original file serves as-is.
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    CA_FATAL_IF(!is, "net: cannot open artifact " << path);
-    std::streamsize size = is.tellg();
-    CA_FATAL_IF(size < 0, "net: cannot stat artifact " << path);
     auto bytes = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(size));
-    is.seekg(0);
-    is.read(reinterpret_cast<char *>(bytes->data()), size);
-    CA_FATAL_IF(!is, "net: short read from artifact " << path);
-
+        persist::readFileBytes(path));
     persist::LoadedArtifact loaded = persist::loadArtifactBytes(*bytes);
     auto server = std::make_unique<MatchServer>(std::move(loaded.automaton),
                                                 opts);
@@ -386,7 +374,6 @@ MatchServer::swap(std::shared_ptr<const MappedAutomaton> automaton,
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.swapsCompleted;
     }
-    CA_COUNTER_ADD("ca.cluster.swaps_completed", 1);
     CA_INFO("net: swapped automaton " << std::hex << r.oldFingerprint
                                       << " -> " << r.newFingerprint
                                       << std::dec << " (epoch " << r.epoch
@@ -398,15 +385,8 @@ MatchServer::swap(std::shared_ptr<const MappedAutomaton> automaton,
 MatchServer::SwapResult
 MatchServer::swapFromArtifact(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    CA_FATAL_IF(!is, "net: cannot open artifact " << path);
-    std::streamsize size = is.tellg();
-    CA_FATAL_IF(size < 0, "net: cannot stat artifact " << path);
     auto bytes = std::make_shared<std::vector<uint8_t>>(
-        static_cast<size_t>(size));
-    is.seekg(0);
-    is.read(reinterpret_cast<char *>(bytes->data()), size);
-    CA_FATAL_IF(!is, "net: short read from artifact " << path);
+        persist::readFileBytes(path));
     persist::LoadedArtifact loaded = persist::loadArtifactBytes(*bytes);
     return swap(std::move(loaded.automaton), std::move(bytes));
 }
@@ -436,7 +416,6 @@ MatchServer::reapRetiredEpochs()
             std::lock_guard<std::mutex> lock(stats_mutex_);
             ++stats_.epochsRetired;
         }
-        CA_COUNTER_ADD("ca.cluster.epochs_retired", 1);
     }
 }
 
@@ -495,7 +474,7 @@ MatchServer::statsSnapshot(uint64_t token, uint32_t sections) const
     StatsReplyBody body;
     body.token = token;
     body.sections = sections & kStatsAllSections;
-    body.telemetryCompiled = CA_TELEMETRY ? 1 : 0;
+    body.telemetryCompiled = 1; // instrumentation is always built in
     body.telemetryEnabled = telemetry::enabled() ? 1 : 0;
 
     // Totals, Sessions, and Kernels come from one inspect() pass per
@@ -578,9 +557,9 @@ MatchServer::statsSnapshot(uint64_t token, uint32_t sections) const
             body.kernels = std::move(in.kernels);
     }
 
-    // The Metrics section ships whatever the registry holds — empty in
-    // a telemetry-off build, which still serializes to a valid image
-    // (the reply's telemetryCompiled/telemetryEnabled flags say why).
+    // The Metrics section ships whatever the registry holds — empty
+    // while telemetry is off, which still serializes to a valid image
+    // (the reply's telemetryEnabled flag says why).
     if (body.sections & statsSectionBit(StatsSection::Metrics))
         body.metricsSnapshot =
             telemetry::MetricsRegistry::global().snapshot().serialize();
@@ -610,7 +589,6 @@ MatchServer::acceptLoop(SocketFd &listener, bool admin)
                 std::lock_guard<std::mutex> lock(stats_mutex_);
                 ++stats_.connectionsRejected;
             }
-            CA_COUNTER_ADD("ca.net.connections_rejected", 1);
             continue;
         }
 
@@ -624,8 +602,6 @@ MatchServer::acceptLoop(SocketFd &listener, bool admin)
             std::lock_guard<std::mutex> lock(stats_mutex_);
             ++stats_.connectionsAccepted;
         }
-        CA_COUNTER_ADD("ca.net.connections_accepted", 1);
-        CA_GAUGE_SET("ca.net.connections_open", active_.load());
 
         Connection &c = *conn;
         c.writer = std::thread([this, &c] { writerLoop(c); });
@@ -677,7 +653,6 @@ MatchServer::enqueueFrame(Connection &c, std::vector<uint8_t> frame)
             std::lock_guard<std::mutex> lock(stats_mutex_);
             ++stats_.slowConsumerDrops;
         }
-        CA_COUNTER_ADD("ca.net.slow_consumer_drops", 1);
     }
 }
 
@@ -710,7 +685,6 @@ MatchServer::writerLoop(Connection &c)
                 std::lock_guard<std::mutex> lock(stats_mutex_);
                 ++stats_.writeTimeouts;
             }
-            CA_COUNTER_ADD("ca.net.write_timeouts", 1);
             c.out_cv.notify_all();
             return;
         }
@@ -719,8 +693,6 @@ MatchServer::writerLoop(Connection &c)
             ++stats_.framesOut;
             stats_.bytesOut += frame.size();
         }
-        CA_COUNTER_ADD("ca.net.frames_out", 1);
-        CA_COUNTER_ADD("ca.net.bytes_out", frame.size());
     }
 }
 
@@ -752,7 +724,6 @@ MatchServer::closeConnectionStreams(Connection &c)
             std::lock_guard<std::mutex> lock(stats_mutex_);
             ++stats_.streamsClosed;
         }
-        CA_COUNTER_ADD("ca.net.streams_closed", 1);
     }
 }
 
@@ -827,7 +798,6 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
             std::lock_guard<std::mutex> slock(stats_mutex_);
             ++stats_.streamsOpened;
         }
-        CA_COUNTER_ADD("ca.net.streams_opened", 1);
         return true;
       }
 
@@ -904,7 +874,6 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
             std::lock_guard<std::mutex> lock(stats_mutex_);
             ++stats_.streamsClosed;
         }
-        CA_COUNTER_ADD("ca.net.streams_closed", 1);
         return true;
       }
 
@@ -930,7 +899,6 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
             std::lock_guard<std::mutex> lock(stats_mutex_);
             ++stats_.artifactQueries;
         }
-        CA_COUNTER_ADD("ca.cluster.artifact_queries", 1);
         std::shared_ptr<const std::vector<uint8_t>> bytes;
         if (opts_.serveArtifacts)
             bytes = artifactBytesFor(f.fingerprint);
@@ -977,8 +945,6 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
             ++stats_.artifactChunksServed;
             stats_.artifactBytesServed += n;
         }
-        CA_COUNTER_ADD("ca.cluster.artifact_chunks_served", 1);
-        CA_COUNTER_ADD("ca.cluster.artifact_bytes_served", n);
         return true;
       }
 
@@ -1009,7 +975,6 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
                 std::lock_guard<std::mutex> lock(stats_mutex_);
                 ++stats_.swapsFailed;
             }
-            CA_COUNTER_ADD("ca.cluster.swaps_failed", 1);
             CA_WARN("net: swap failed: " << e.what());
             appendSwapReply(reply, f.flushToken, SwapStatus::Failed,
                             fingerprint_.load(), fingerprint_.load(),
@@ -1051,7 +1016,6 @@ MatchServer::readerLoop(Connection &c)
                     std::lock_guard<std::mutex> lock(stats_mutex_);
                     ++stats_.framesIn;
                 }
-                CA_COUNTER_ADD("ca.net.frames_in", 1);
                 running = dispatchFrame(c, std::move(*f));
             }
         } catch (const CaError &e) {
@@ -1061,7 +1025,6 @@ MatchServer::readerLoop(Connection &c)
                 std::lock_guard<std::mutex> lock(stats_mutex_);
                 ++stats_.protocolErrors;
             }
-            CA_COUNTER_ADD("ca.net.protocol_errors", 1);
             failConnection(c, ErrorCode::ProtocolError, kConnectionStream,
                            e.what());
             break;
@@ -1076,7 +1039,6 @@ MatchServer::readerLoop(Connection &c)
                 std::lock_guard<std::mutex> lock(stats_mutex_);
                 stats_.bytesIn += static_cast<uint64_t>(n);
             }
-            CA_COUNTER_ADD("ca.net.bytes_in", n);
             last_activity = Clock::now();
         } else if (n == 0 || n == -2) {
             break; // orderly EOF or peer reset: drain + close below
@@ -1087,7 +1049,6 @@ MatchServer::readerLoop(Connection &c)
                 std::lock_guard<std::mutex> lock(stats_mutex_);
                 ++stats_.idleTimeouts;
             }
-            CA_COUNTER_ADD("ca.net.idle_timeouts", 1);
             failConnection(c, ErrorCode::IdleTimeout, kConnectionStream,
                            "no frame within the idle window");
             break;
@@ -1118,8 +1079,6 @@ MatchServer::readerLoop(Connection &c)
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.connectionsClosed;
     }
-    CA_COUNTER_ADD("ca.net.connections_closed", 1);
-    CA_GAUGE_SET("ca.net.connections_open", active_.load());
     c.done.store(true);
 }
 

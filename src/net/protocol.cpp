@@ -473,71 +473,6 @@ appendStatsReply(std::vector<uint8_t> &out, const StatsReplyBody &body)
     endFrame(out, p);
 }
 
-void
-appendFrame(std::vector<uint8_t> &out, const Frame &f)
-{
-    switch (f.type) {
-      case FrameType::Hello:
-        appendHello(out, f.fingerprint, f.version);
-        return;
-      case FrameType::OpenStream:
-        appendOpenStream(out, f.streamId);
-        return;
-      case FrameType::Data:
-        appendData(out, f.streamId, f.data.data(), f.data.size());
-        return;
-      case FrameType::Flush:
-        appendFlush(out, f.streamId, f.flushToken);
-        return;
-      case FrameType::CloseStream:
-        appendCloseStream(out, f.streamId, f.symbols, f.reports);
-        return;
-      case FrameType::Reports:
-        appendReports(out, f.streamId, f.reportBatch.data(),
-                      f.reportBatch.size());
-        return;
-      case FrameType::ScoredReports:
-        appendScoredReports(out, f.streamId, f.reportBatch.data(),
-                            f.reportBatch.size());
-        return;
-      case FrameType::Error:
-        appendError(out, f.errorCode, f.streamId, f.message);
-        return;
-      case FrameType::Goodbye:
-        appendGoodbye(out);
-        return;
-      case FrameType::Stats:
-        appendStats(out, f.stats.token, f.stats.sections);
-        return;
-      case FrameType::StatsReply:
-        appendStatsReply(out, f.stats);
-        return;
-      case FrameType::ArtifactQuery:
-        appendArtifactQuery(out, f.fingerprint);
-        return;
-      case FrameType::ArtifactOffer:
-        appendArtifactOffer(out, f.fingerprint, f.artifactAvailable != 0,
-                            f.artifactBytes, f.chunkBytes, f.chunkCount);
-        return;
-      case FrameType::ArtifactFetch:
-        appendArtifactFetch(out, f.fingerprint, f.chunkIndex);
-        return;
-      case FrameType::ArtifactChunk:
-        appendArtifactChunk(out, f.fingerprint, f.chunkIndex, f.chunkCount,
-                            f.data.data(), f.data.size());
-        return;
-      case FrameType::Swap:
-        appendSwap(out, f.flushToken, f.fingerprint, f.message);
-        return;
-      case FrameType::SwapReply:
-        appendSwapReply(out, f.flushToken, f.swapStatus, f.oldFingerprint,
-                        f.newFingerprint, f.epoch, f.message);
-        return;
-    }
-    CA_THROW("appendFrame: unknown frame type "
-             << static_cast<unsigned>(f.type));
-}
-
 Frame
 decodePayload(FrameType type, const uint8_t *payload, size_t size)
 {

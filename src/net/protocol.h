@@ -216,13 +216,13 @@ struct WireServerTotals
  * Decoded STATS_REPLY payload (also carries a STATS request's fields —
  * token and sections — when it rides in a Frame of type Stats).
  * Sections absent from `sections` keep their empty/zero defaults, which
- * is also how a telemetry-off or section-filtered server degrades.
+ * is also how a section-filtered server degrades.
  */
 struct StatsReplyBody
 {
     uint16_t statsVersion = kStatsVersion;
     uint64_t token = 0;
-    uint8_t telemetryCompiled = 0; ///< CA_TELEMETRY macro on the server.
+    uint8_t telemetryCompiled = 0; ///< Always 1 from this server.
     uint8_t telemetryEnabled = 0;  ///< telemetry::enabled() right now.
     uint32_t sections = 0;         ///< StatsSection bits present below.
     WireServerTotals totals;
@@ -321,9 +321,6 @@ void appendSwapReply(std::vector<uint8_t> &out, uint64_t token,
                      SwapStatus status, uint64_t oldFingerprint,
                      uint64_t newFingerprint, uint64_t epoch,
                      const std::string &message);
-
-/** Encodes @p f generically (tests, fuzzing drivers). */
-void appendFrame(std::vector<uint8_t> &out, const Frame &f);
 
 // --- Decoder ------------------------------------------------------------
 

@@ -532,6 +532,20 @@ ArtifactWriter::writeFile(const std::string &path) const
     CA_COUNTER_ADD("ca.persist.save_bytes", bytes.size());
 }
 
+std::vector<uint8_t>
+readFileBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
+    CA_FATAL_IF(!is, "artifact: cannot open " << path);
+    std::streamsize size = is.tellg();
+    CA_FATAL_IF(size < 0, "artifact: cannot stat " << path);
+    std::vector<uint8_t> bytes(static_cast<size_t>(size));
+    is.seekg(0);
+    is.read(reinterpret_cast<char *>(bytes.data()), size);
+    CA_FATAL_IF(!is, "artifact: short read from " << path);
+    return bytes;
+}
+
 void
 writeBytesAtomic(const std::string &path, const std::vector<uint8_t> &bytes)
 {
@@ -575,14 +589,7 @@ ArtifactReader::ArtifactReader(std::vector<uint8_t> bytes)
 ArtifactReader::ArtifactReader(const std::string &path)
 {
     CA_TRACE_SCOPE("ca.persist.read_file");
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    CA_FATAL_IF(!is, "artifact: cannot open " << path);
-    std::streamsize size = is.tellg();
-    CA_FATAL_IF(size < 0, "artifact: cannot stat " << path);
-    bytes_.resize(static_cast<size_t>(size));
-    is.seekg(0);
-    is.read(reinterpret_cast<char *>(bytes_.data()), size);
-    CA_FATAL_IF(!is, "artifact: short read from " << path);
+    bytes_ = readFileBytes(path);
     parse();
 }
 

@@ -201,6 +201,9 @@ LoadedArtifact loadArtifactBytes(std::vector<uint8_t> bytes);
 /** Reads, checks, and decodes the artifact at @p path. */
 LoadedArtifact loadArtifact(const std::string &path);
 
+/** Reads the whole file at @p path. @throws CaError on I/O failure. */
+std::vector<uint8_t> readFileBytes(const std::string &path);
+
 /**
  * Atomically publishes raw bytes to @p path via temp-file + rename (the
  * same publication discipline ArtifactWriter::writeFile uses): readers

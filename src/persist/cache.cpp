@@ -1,7 +1,6 @@
 #include "persist/cache.h"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "core/error.h"
@@ -220,16 +219,9 @@ ArtifactCache::tryReadBytesByFingerprint(uint64_t fingerprint)
     if (!std::filesystem::exists(path, ec) || ec)
         return nullptr;
     try {
-        ArtifactReader reader(path); // full structural + CRC validation
-        auto bytes = std::make_shared<std::vector<uint8_t>>();
-        std::ifstream is(path, std::ios::binary | std::ios::ate);
-        CA_FATAL_IF(!is, "artifact cache: cannot reopen " << path);
-        std::streamsize size = is.tellg();
-        CA_FATAL_IF(size < 0, "artifact cache: cannot stat " << path);
-        bytes->resize(static_cast<size_t>(size));
-        is.seekg(0);
-        is.read(reinterpret_cast<char *>(bytes->data()), size);
-        CA_FATAL_IF(!is, "artifact cache: short read from " << path);
+        auto bytes =
+            std::make_shared<std::vector<uint8_t>>(readFileBytes(path));
+        ArtifactReader check(*bytes); // full structural + CRC validation
         return bytes;
     } catch (const CaError &) {
         return nullptr;

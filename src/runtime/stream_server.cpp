@@ -45,8 +45,6 @@ StreamServer::StreamServer(std::shared_ptr<const match::MatchContext> ctx,
         opts_.sliceSymbols = 1;
     if (opts_.matchParallelMinBytes == 0)
         opts_.matchParallelMinBytes = 1;
-    if (std::optional<size_t> env = match::matchParallelEnvOverride())
-        opts_.matchParallelism = *env;
     // $CA_SIM_KERNEL pins every engine below, as it pins the simulator.
     if (std::optional<SimKernel> k = simKernelEnvOverride())
         opts_.sim.kernel = *k;
@@ -97,9 +95,6 @@ StreamServer::open(ReportSink &sink)
         new StreamSession(*this, next_session_id_++, sink)));
     sessions_.back()->checkpoint_ = initial_checkpoint_;
     ++stats_.sessionsOpened;
-    CA_COUNTER_ADD("ca.runtime.sessions_opened", 1);
-    CA_GAUGE_SET("ca.runtime.sessions_open",
-                 stats_.sessionsOpened - stats_.sessionsClosed);
     return *sessions_.back();
 }
 
@@ -343,21 +338,12 @@ StreamServer::runSlice(StreamSession &s, match::MatchEngine &engine,
         {
             std::lock_guard<std::mutex> lock(sessions_mutex_);
             ++stats_.sessionsClosed;
-            CA_GAUGE_SET("ca.runtime.sessions_open",
-                         stats_.sessionsOpened - stats_.sessionsClosed);
         }
         std::lock_guard<std::mutex> lock(s.mutex_);
         s.finalized_ = true;
         s.run_state_ = StreamSession::RunState::Idle;
         s.drain_cv_.notify_all();
     }
-    CA_COUNTER_ADD("ca.runtime.symbols", fed);
-    CA_COUNTER_ADD("ca.runtime.reports", reports.size());
-    CA_COUNTER_ADD("ca.runtime.slices", 1);
-    if (context_switch)
-        CA_COUNTER_ADD("ca.runtime.context_switches", 1);
-    if (finalize)
-        CA_COUNTER_ADD("ca.runtime.sessions_closed", 1);
 }
 
 } // namespace ca::runtime

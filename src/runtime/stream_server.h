@@ -75,9 +75,8 @@ struct StreamServerOptions
      * Chunk-parallel single-stream matching (docs/MATCH.md): degree of
      * the shared ParallelMatcher, including the calling worker. 0 or 1
      * disables it; N >= 2 fans large submitted chunks of one session
-     * out across N threads with SFA-style speculative joins. The
-     * $CA_MATCH_PARALLEL environment variable ("off"/"auto"/<count>),
-     * when set, overrides this.
+     * out across N threads with SFA-style speculative joins
+     * (`ca_server --match-parallel off|auto|N` sets it).
      */
     size_t matchParallelism = 0;
     /**

@@ -8,7 +8,6 @@
 
 namespace ca {
 
-#if CA_TELEMETRY
 namespace {
 
 /**
@@ -55,7 +54,6 @@ struct SimCounters
 };
 
 } // namespace
-#endif // CA_TELEMETRY
 
 ActivityStats
 SimResult::activity() const
@@ -320,7 +318,6 @@ void
 CacheAutomatonSim::feed(const uint8_t *data, size_t size)
 {
     SimResult &acc = activity_.result();
-#if CA_TELEMETRY
     const bool telemetry_on = telemetry::enabled();
     struct
     {
@@ -336,14 +333,12 @@ CacheAutomatonSim::feed(const uint8_t *data, size_t size)
                   acc.sparseKernelSymbols, acc.denseKernelSymbols,
                   acc.kernelSwitches};
     }
-#endif
     engine_.feed(data, size, activity_);
     std::vector<Report> fired = engine_.takeReports();
     if (acc.reports.empty())
         acc.reports = std::move(fired);
     else
         acc.reports.insert(acc.reports.end(), fired.begin(), fired.end());
-#if CA_TELEMETRY
     if (telemetry_on) {
         SimCounters &c = SimCounters::get();
         c.symbols.add(acc.symbols - before.symbols);
@@ -363,7 +358,6 @@ CacheAutomatonSim::feed(const uint8_t *data, size_t size)
         c.kernelSwitches.add(acc.kernelSwitches - before.kernelSwitches);
         c.feedSymbols.observe(size);
     }
-#endif
 }
 
 SimResult

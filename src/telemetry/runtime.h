@@ -2,10 +2,9 @@
  * @file
  * Runtime on/off switch for telemetry collection.
  *
- * Instrumentation is gated twice: compile-time by the CA_TELEMETRY macro
- * (see telemetry.h — compiles every site out entirely when 0) and runtime
- * by this flag, so an instrumented-but-disabled binary pays one relaxed
- * atomic load and a predictable branch per site.
+ * This flag is the only gate: every instrumentation site is compiled in,
+ * and a disabled one pays one relaxed atomic load and a predictable
+ * branch.
  *
  * The initial state comes from the CA_TELEMETRY *environment variable*
  * ("1"/"on"/"true" enable it); programs that want artifacts

@@ -16,9 +16,8 @@
  *    ("CASN", core/serde.h primitives, bounds-checked decode) carried
  *    inside STATS_REPLY frames.
  *
- * Everything here works in both telemetry build configs: with
- * -DCA_TELEMETRY=OFF the instrumentation sites compile out, the registry
- * stays empty, and snapshots are simply empty rather than erroring.
+ * While the runtime switch is off the registry stays empty, and
+ * snapshots are simply empty rather than erroring.
  */
 #ifndef CA_TELEMETRY_SNAPSHOT_H
 #define CA_TELEMETRY_SNAPSHOT_H

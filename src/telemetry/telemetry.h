@@ -3,12 +3,9 @@
  * Telemetry umbrella: instrumentation macros, artifact dumping, and the
  * --metrics-out/--trace-out CLI session shared by benches and examples.
  *
- * Two gates control collection (docs/TELEMETRY.md):
- *  - CA_TELEMETRY *macro* (CMake -DCA_TELEMETRY=ON/OFF, default ON):
- *    compiles every instrumentation site out entirely when 0.
- *  - runtime enable (telemetry::setEnabled or the CA_TELEMETRY
- *    *environment variable*): when compiled in but disabled, each site
- *    costs one relaxed load + branch.
+ * One runtime switch gates collection (docs/TELEMETRY.md):
+ * telemetry::setEnabled or the CA_TELEMETRY environment variable. While
+ * it is off, each site costs one relaxed load + branch.
  *
  * Sites use the macros below so the registry lookup (mutex + map) runs
  * once per site, not per hit:
@@ -27,10 +24,6 @@
 #include "telemetry/metrics.h"
 #include "telemetry/runtime.h"
 #include "telemetry/trace.h"
-
-#ifndef CA_TELEMETRY
-#define CA_TELEMETRY 1
-#endif
 
 namespace ca::telemetry {
 
@@ -80,8 +73,6 @@ class CliSession
 
 } // namespace ca::telemetry
 
-#if CA_TELEMETRY
-
 #define CA_TELEMETRY_CAT2(a, b) a##b
 #define CA_TELEMETRY_CAT(a, b) CA_TELEMETRY_CAT2(a, b)
 
@@ -122,15 +113,5 @@ class CliSession
             ca_tm_hist_.observe(static_cast<uint64_t>(value));             \
         }                                                                  \
     } while (0)
-
-#else // !CA_TELEMETRY
-
-#define CA_TRACE_SCOPE(name) ((void)0)
-#define CA_TRACE_SCOPE_CAT(name, cat) ((void)0)
-#define CA_COUNTER_ADD(name, delta) ((void)0)
-#define CA_GAUGE_SET(name, value) ((void)0)
-#define CA_HISTOGRAM_OBSERVE(name, value) ((void)0)
-
-#endif // CA_TELEMETRY
 
 #endif // CA_TELEMETRY_TELEMETRY_H

@@ -8,12 +8,11 @@
  * anchored rulesets, empty/1-byte/unaligned buffers, forced replays,
  * and randomized N-chunk vs 1-chunk fuzz. Also covers the runtime
  * integration (StreamServer with matchParallelism) and the
- * CA_MATCH_PARALLEL / kernel-name validation helpers.
+ * --match-parallel / kernel-name validation helpers.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -522,7 +521,7 @@ TEST(ParallelMatcher, StatsAccumulateAcrossCalls)
 }
 
 // ---------------------------------------------------------------------
-// Validation helpers (the CA_SIM_KERNEL / CA_MATCH_PARALLEL satellite).
+// Validation helpers (CA_SIM_KERNEL and --match-parallel values).
 
 TEST(MatchParallelParse, AcceptsOffAutoAndCounts)
 {
@@ -587,18 +586,13 @@ TEST(StreamServerParallel, SingleStreamMatchesSerialRun)
     session.close();
 
     EXPECT_EQ(sink.reports(id), expect.reports);
-    // $CA_MATCH_PARALLEL overrides the configured degree (and "auto"
-    // may resolve to 1 = disabled on a small host), so the matcher
-    // internals are only pinned down when the env leaves them alone.
-    if (std::getenv("CA_MATCH_PARALLEL") == nullptr) {
-        runtime::ServerInspect in = server.inspect();
-        ASSERT_NE(server.parallelMatcher(), nullptr);
-        EXPECT_EQ(in.matchParallelism, 4u);
-        EXPECT_EQ(server.parallelMatcher()->degree(), 4u);
-        // The parallel path really ran (not every slice need qualify).
-        EXPECT_GT(in.match.calls, 0u);
-        EXPECT_GT(in.match.bytes, 0u);
-    }
+    runtime::ServerInspect in = server.inspect();
+    ASSERT_NE(server.parallelMatcher(), nullptr);
+    EXPECT_EQ(in.matchParallelism, 4u);
+    EXPECT_EQ(server.parallelMatcher()->degree(), 4u);
+    // The parallel path really ran (not every slice need qualify).
+    EXPECT_GT(in.match.calls, 0u);
+    EXPECT_GT(in.match.bytes, 0u);
 }
 
 TEST(StreamServerParallel, ManySessionsStayDeterministic)
@@ -635,10 +629,8 @@ TEST(StreamServerParallel, DisabledByDefault)
     Nfa nfa = compileRuleset({"a"});
     MappedAutomaton m = mapPerformance(nfa);
     runtime::StreamServer server(m);
-    if (std::getenv("CA_MATCH_PARALLEL") == nullptr) {
-        EXPECT_EQ(server.parallelMatcher(), nullptr);
-        EXPECT_EQ(server.inspect().matchParallelism, 0u);
-    }
+    EXPECT_EQ(server.parallelMatcher(), nullptr);
+    EXPECT_EQ(server.inspect().matchParallelism, 0u);
 }
 
 } // namespace

@@ -363,8 +363,6 @@ TEST(StreamServer, WorkerKernelStatsCountEveryServedSymbol)
         opts.sliceSymbols = 1000;
         CollectingSink sink;
         StreamServer server(c.mapped, opts);
-        if (server.parallelMatcher() != nullptr)
-            GTEST_SKIP() << "CA_MATCH_PARALLEL enables the ParallelMatcher";
         std::vector<StreamSession *> sessions;
         for (int i = 0; i < 3; ++i)
             sessions.push_back(&server.open(sink));

@@ -17,7 +17,7 @@
  *   --kernel K          simulator kernel: sparse | dense | auto (default)
  *   --match-parallel P  chunk-parallel single-stream matching
  *                       (docs/MATCH.md): off (default) | auto | thread
- *                       count >= 2; $CA_MATCH_PARALLEL overrides
+ *                       count >= 2
  *   --idle-timeout-ms N idle connection teardown (<=0 disables)
  *   --duration-s N      exit after N seconds (default: run until signal)
  *   --metrics-out F / --trace-out F   telemetry artifacts at shutdown
@@ -244,8 +244,7 @@ renderStatsPage(const net::MatchServer &server)
     gauge("ca_server_workers", t.workers);
     gauge("ca_server_active_connections",
           static_cast<double>(t.activeConnections));
-    gauge("ca_server_telemetry_enabled",
-          b.telemetryCompiled && b.telemetryEnabled ? 1 : 0);
+    gauge("ca_server_telemetry_enabled", b.telemetryEnabled);
     counter("ca_net_connections_accepted_total", t.connectionsAccepted);
     counter("ca_net_connections_rejected_total", t.connectionsRejected);
     counter("ca_net_connections_closed_total", t.connectionsClosed);
@@ -322,8 +321,8 @@ renderStatsPage(const net::MatchServer &server)
         os << "ca_kernel_density_ewma{worker=\"" << w << "\"} "
            << b.kernels[w].densityEwma << "\n";
 
-    // Whatever the process-wide registry holds (empty when telemetry is
-    // compiled out or disabled — the page above still works).
+    // Whatever the process-wide registry holds (empty while telemetry
+    // is disabled — the page above still works).
     telemetry::MetricsSnapshot snap;
     if (!b.metricsSnapshot.empty())
         snap = telemetry::MetricsSnapshot::deserialize(b.metricsSnapshot);
@@ -426,8 +425,7 @@ run(const Args &args)
 
     // The observability flags imply the operator wants live metrics:
     // turn the runtime telemetry switch on even without CA_TELEMETRY=1
-    // in the environment (a telemetry-off *build* still serves the
-    // always-on sections and says so in the page/reply flags).
+    // in the environment.
     if (!args.opt("stats-port").empty() ||
         !args.opt("stats-interval-s").empty())
         telemetry::setEnabled(true);

@@ -97,9 +97,7 @@ render(const net::StatsReplyBody &b, const net::StatsReplyBody &prev,
     std::printf("ca_top — uptime %.1fs, %u workers, %llu conns",
                 static_cast<double>(t.uptimeMicros) / 1e6, t.workers,
                 static_cast<unsigned long long>(t.activeConnections));
-    if (!b.telemetryCompiled)
-        std::printf("   [telemetry compiled out]");
-    else if (!b.telemetryEnabled)
+    if (!b.telemetryEnabled)
         std::printf("   [telemetry disabled]");
     std::printf("\n");
     std::printf("automaton     fingerprint %016llx, epoch %llu%s",
@@ -197,8 +195,7 @@ render(const net::StatsReplyBody &b, const net::StatsReplyBody &prev,
 
     // Registry highlights: the handful of process metrics that aren't
     // already covered by a dedicated panel above.
-    if (b.telemetryCompiled && b.telemetryEnabled &&
-        !b.metricsSnapshot.empty()) {
+    if (b.telemetryEnabled && !b.metricsSnapshot.empty()) {
         telemetry::MetricsSnapshot snap =
             telemetry::MetricsSnapshot::deserialize(b.metricsSnapshot);
 
