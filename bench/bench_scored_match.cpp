@@ -23,7 +23,7 @@
  *      started keying on weight *presence* instead of weight *values*.
  *      Bar: <2%, matching the observability-plane precedent.
  *
- * Every timed run is cross-checked against the scored CPU oracle —
+ * Every timed run is cross-checked against the CPU reference, NfaEngine —
  * report streams must match exactly, scores included (the
  * tests/score_test.cpp contract, re-enforced at bench scale); any
  * mismatch exits nonzero.
@@ -40,13 +40,13 @@
 #include <string>
 #include <vector>
 
+#include "baseline/nfa_engine.h"
 #include "bench_common.h"
 #include "compiler/mapping.h"
 #include "core/string_utils.h"
 #include "match/match_engine.h"
 #include "nfa/glushkov.h"
 #include "score/bioseq.h"
-#include "score/oracle.h"
 
 using namespace ca;
 using namespace ca::bench;
@@ -136,7 +136,7 @@ checkOracle(const char *label, const std::vector<Report> &got,
     if (got == want)
         return true;
     std::fprintf(stderr,
-                 "FAIL: %s diverged from the scored oracle "
+                 "FAIL: %s diverged from the CPU reference "
                  "(%zu reports vs %zu expected)\n",
                  label, got.size(), want.size());
     return false;
@@ -184,8 +184,8 @@ main(int argc, char **argv)
                 patterns, popt.maxEdits, scored_m.nfa().numStates(),
                 static_cast<double>(input.size()) / 1024.0);
 
-    std::vector<Report> scored_want = ScoredOracle(w.nfa).run(input);
-    std::vector<Report> plain_want = ScoredOracle(plain_nfa).run(input);
+    std::vector<Report> scored_want = NfaEngine(w.nfa).run(input);
+    std::vector<Report> plain_want = NfaEngine(plain_nfa).run(input);
     std::fprintf(stderr, "oracle: %zu scored reports\n",
                  scored_want.size());
 

@@ -15,14 +15,15 @@ cmake --build build -j "$JOBS"
 echo "=== test build ==="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-# The sim suite under each execution kernel: CA_SIM_KERNEL overrides
-# SimOptions::kernel process-wide, so the oracle-equivalence, streaming,
-# and checkpoint contracts are enforced with the sparse and the dense
-# stepper (Auto is the in-tree default and already ran above).
-CA_SIM_KERNEL=sparse ctest --test-dir build -L sim --output-on-failure \
-    -j "$JOBS"
-CA_SIM_KERNEL=dense ctest --test-dir build -L sim --output-on-failure \
-    -j "$JOBS"
+# The sim and runtime suites under each execution kernel: CA_SIM_KERNEL
+# overrides the kernel process-wide, StreamServer engines included, so
+# the oracle-equivalence, streaming, checkpoint and served-stream
+# contracts are enforced with the sparse and the dense stepper (Auto is
+# the in-tree default and already ran above).
+CA_SIM_KERNEL=sparse ctest --test-dir build -L "sim|runtime" \
+    --output-on-failure -j "$JOBS"
+CA_SIM_KERNEL=dense ctest --test-dir build -L "sim|runtime" \
+    --output-on-failure -j "$JOBS"
 
 # The serving suites repeated under load: 8 parallel ctest jobs, each
 # test run up to 20 times. A test that asserts an ordering without a

@@ -2,93 +2,98 @@
 
 #include <algorithm>
 
-#include "core/error.h"
 #include "telemetry/telemetry.h"
 
 namespace ca {
 
-NfaEngine::NfaEngine(const Nfa &nfa)
-    : nfa_(nfa), enabled_mask_(nfa.numStates())
+NfaEngine::NfaEngine(const Nfa &nfa, ScoreSemiring semiring)
+    : nfa_(nfa), semiring_(semiring)
 {
-    for (StateId s = 0; s < nfa.numStates(); ++s) {
-        switch (nfa.state(s).start) {
-          case StartType::AllInput:
+    const size_t n = nfa.numStates();
+    enabled_mask_.assign(n, 0);
+    next_mask_.assign(n, 0);
+    score_.assign(n, 0);
+    next_score_.assign(n, 0);
+    for (StateId s = 0; s < n; ++s)
+        if (nfa.state(s).start == StartType::AllInput)
             all_input_starts_.push_back(s);
-            break;
-          case StartType::StartOfData:
-            start_of_data_starts_.push_back(s);
-            break;
-          case StartType::None:
-            break;
-        }
-    }
     reset();
 }
 
 void
 NfaEngine::reset()
 {
+    for (StateId s : enabled_)
+        enabled_mask_[s] = 0;
     enabled_.clear();
-    enabled_mask_.clearAll();
-    active_.clear();
+    for (StateId s = 0; s < nfa_.numStates(); ++s) {
+        const NfaState &st = nfa_.state(s);
+        if (st.start != StartType::None) {
+            enabled_mask_[s] = 1;
+            score_[s] = st.startWeight;
+            enabled_.push_back(s);
+        }
+    }
     reports_.clear();
     offset_ = 0;
-    total_activations_ = 0;
-    for (StateId s : start_of_data_starts_) {
-        if (!enabled_mask_.test(s)) {
-            enabled_mask_.set(s);
-            enabled_.push_back(s);
-        }
-    }
-    for (StateId s : all_input_starts_) {
-        if (!enabled_mask_.test(s)) {
-            enabled_mask_.set(s);
-            enabled_.push_back(s);
-        }
-    }
 }
 
 void
 NfaEngine::step(uint8_t symbol)
 {
-    active_.clear();
+    // State-match phase: enabled states whose label contains the symbol
+    // activate. State-transition phase, fused with it: each out-edge of
+    // an active state extends its score by the edge weight, and
+    // alternatives into one target combine under ⊕.
     report_scratch_.clear();
-    // State-match phase: enabled states whose label contains the symbol.
+    next_enabled_.clear();
     for (StateId s : enabled_) {
-        if (nfa_.state(s).label.test(symbol)) {
-            active_.push_back(s);
-            if (nfa_.state(s).report)
-                report_scratch_.push_back(s);
-        }
-    }
-    total_activations_ += active_.size();
-    // Canonical within-cycle report order: ascending state id (shared
-    // with the Cache Automaton simulator's kernels, which must produce a
-    // bit-identical stream).
-    std::sort(report_scratch_.begin(), report_scratch_.end());
-    for (StateId s : report_scratch_)
-        reports_.push_back(Report{offset_, nfa_.state(s).reportId, s});
-
-    // State-transition phase: successors of active states, plus the
-    // always-enabled AllInput start states, form the next frontier. Only
-    // the bits set last cycle are cleared (a full clear would be O(|Q|)).
-    for (StateId s : enabled_)
-        enabled_mask_.resetUnchecked(s);
-    enabled_.clear();
-    for (StateId s : active_) {
-        for (StateId t : nfa_.state(s).out) {
-            if (!enabled_mask_.testUnchecked(t)) {
-                enabled_mask_.setUnchecked(t);
-                enabled_.push_back(t);
+        const NfaState &st = nfa_.state(s);
+        if (!st.label.test(symbol))
+            continue;
+        if (st.report)
+            report_scratch_.push_back(s);
+        for (size_t k = 0; k < st.out.size(); ++k) {
+            StateId t = st.out[k];
+            Score cand = score_[s] + static_cast<Score>(nfa_.edgeWeight(s, k));
+            if (!next_mask_[t]) {
+                next_mask_[t] = 1;
+                next_score_[t] = cand;
+                next_enabled_.push_back(t);
+            } else {
+                next_score_[t] = scoreCombine(semiring_, next_score_[t], cand);
             }
         }
     }
+    // Canonical within-cycle report order: ascending state id (shared
+    // with every execution engine, which must produce a bit-identical
+    // stream).
+    std::sort(report_scratch_.begin(), report_scratch_.end());
+    for (StateId s : report_scratch_)
+        reports_.push_back(
+            Report{offset_, nfa_.state(s).reportId, s, score_[s]});
+
+    // AllInput starts re-enable every cycle at their start weight (a
+    // fresh local alignment can begin at any offset); an incoming path
+    // competes with the restart under ⊕.
     for (StateId s : all_input_starts_) {
-        if (!enabled_mask_.testUnchecked(s)) {
-            enabled_mask_.setUnchecked(s);
-            enabled_.push_back(s);
+        Score w = nfa_.state(s).startWeight;
+        if (!next_mask_[s]) {
+            next_mask_[s] = 1;
+            next_score_[s] = w;
+            next_enabled_.push_back(s);
+        } else {
+            next_score_[s] = scoreCombine(semiring_, next_score_[s], w);
         }
     }
+
+    // Only the bits set last cycle are cleared (a full clear would be
+    // O(|Q|)); the cleared mask becomes the next cycle's scratch.
+    for (StateId s : enabled_)
+        enabled_mask_[s] = 0;
+    enabled_.swap(next_enabled_);
+    enabled_mask_.swap(next_mask_);
+    score_.swap(next_score_);
     ++offset_;
 }
 
@@ -102,6 +107,14 @@ NfaEngine::run(const uint8_t *data, size_t size)
     CA_COUNTER_ADD("ca.baseline.nfa_symbols", size);
     CA_COUNTER_ADD("ca.baseline.nfa_reports", reports_.size());
     return reports_;
+}
+
+std::vector<StateId>
+NfaEngine::frontier() const
+{
+    std::vector<StateId> out = enabled_;
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 } // namespace ca

@@ -1,13 +1,20 @@
 /**
  * @file
- * CPU (compute-centric) NFA engine.
+ * CPU (compute-centric) NFA engine: the one CPU reference.
  *
  * A frontier-based interpreter in the style of VASim: only enabled states
  * are visited each cycle, which is the best a conventional CPU can do on a
- * homogeneous NFA. It serves two roles here:
+ * homogeneous NFA. It reads the Nfa directly (no flattened tables, no
+ * mapping, no kernels), so it shares no code with the engines it checks.
+ * It serves two roles here:
  *   1. the paper's x86 baseline class of engines (§6, compute-centric), and
- *   2. the functional oracle every Cache Automaton simulation is checked
- *      against (same report stream, byte for byte).
+ *   2. the functional oracle every execution engine — the simulator,
+ *      MatchEngine, ParallelMatcher and the serving paths — is checked
+ *      against (same report stream, byte for byte, scores included).
+ *
+ * Each enabled state carries the semiring sum of the scores of all paths
+ * reaching it (docs/SCORING.md). On an unweighted automaton every weight
+ * is 0, so every score is 0.
  */
 #ifndef CA_BASELINE_NFA_ENGINE_H
 #define CA_BASELINE_NFA_ENGINE_H
@@ -15,8 +22,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/bitvector.h"
 #include "nfa/nfa.h"
+#include "score/semiring.h"
 
 namespace ca {
 
@@ -45,18 +52,20 @@ struct Report
     }
 };
 
-/** Frontier-based homogeneous-NFA interpreter. */
+/** Frontier-based homogeneous-NFA interpreter tracking per-state scores. */
 class NfaEngine
 {
   public:
-    explicit NfaEngine(const Nfa &nfa);
+    explicit NfaEngine(const Nfa &nfa,
+                       ScoreSemiring semiring = ScoreSemiring::MaxPlus);
 
-    /** Rewinds to offset 0 (start states enabled). */
+    /** Rewinds to offset 0 (start states enabled at their startWeight). */
     void reset();
 
     /**
-     * Consumes one symbol; matching enabled states activate, reports fire,
-     * and successors become enabled for the next symbol.
+     * Consumes one symbol; matching enabled states activate, reports fire
+     * with the activating state's score, and successors become enabled
+     * for the next symbol.
      */
     void step(uint8_t symbol);
 
@@ -71,26 +80,26 @@ class NfaEngine
     /** Reports accumulated since the last reset. */
     const std::vector<Report> &reports() const { return reports_; }
 
-    /** States active for the most recent symbol. */
-    const std::vector<StateId> &activeStates() const { return active_; }
+    /** The live frontier, sorted ascending. */
+    std::vector<StateId> frontier() const;
 
-    /** Total state activations since reset (CPU work proxy). */
-    uint64_t totalActivations() const { return total_activations_; }
-
-    uint64_t symbolsProcessed() const { return offset_; }
+    /** Score of an enabled state (meaningless when not enabled). */
+    Score stateScore(StateId s) const { return score_[s]; }
 
   private:
     const Nfa &nfa_;
+    ScoreSemiring semiring_;
     std::vector<StateId> all_input_starts_;
-    std::vector<StateId> start_of_data_starts_;
 
-    std::vector<StateId> enabled_;   ///< Frontier for the next symbol.
-    BitVector enabled_mask_;         ///< Dedup mask over enabled_.
-    std::vector<StateId> active_;
+    std::vector<StateId> enabled_; ///< Frontier for the next symbol.
+    std::vector<char> enabled_mask_;
+    std::vector<Score> score_; ///< Per-state score, valid where enabled.
+    std::vector<StateId> next_enabled_;
+    std::vector<char> next_mask_;
+    std::vector<Score> next_score_;
     std::vector<StateId> report_scratch_; ///< Reporting states, per cycle.
     std::vector<Report> reports_;
     uint64_t offset_ = 0;
-    uint64_t total_activations_ = 0;
 };
 
 } // namespace ca

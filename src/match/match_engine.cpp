@@ -680,7 +680,7 @@ MatchEngine::emitCycleReports()
     if (fired == 0)
         return 0;
     // Canonical within-cycle order: ascending state id (shared with the
-    // CPU oracles and both kernels — bit-identical report streams).
+    // CPU oracle and both kernels — bit-identical report streams).
     std::sort(cycle_report_scratch_.begin(), cycle_report_scratch_.end());
     if (collect_) {
         for (StateId s : cycle_report_scratch_)

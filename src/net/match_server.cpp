@@ -215,7 +215,7 @@ MatchServer::MatchServer(const MappedAutomaton &mapped,
     auto first = std::make_shared<EpochState>();
     first->epoch = next_epoch_++;
     first->mapped = &mapped;
-    first->fingerprint = automatonFingerprint(mapped);
+    first->fingerprint = persist::artifactFingerprint(mapped);
     first->stream =
         std::make_unique<runtime::StreamServer>(mapped, opts_.stream);
     fingerprint_.store(first->fingerprint);
@@ -340,7 +340,7 @@ MatchServer::swap(std::shared_ptr<const MappedAutomaton> automaton,
     std::lock_guard<std::mutex> swap_lock(swap_mutex_);
 
     SwapResult r;
-    r.newFingerprint = automatonFingerprint(*automaton);
+    r.newFingerprint = persist::artifactFingerprint(*automaton);
     {
         std::lock_guard<std::mutex> lock(epoch_mutex_);
         r.oldFingerprint = current_->fingerprint;

@@ -4,7 +4,6 @@
 
 #include "core/error.h"
 #include "core/serde.h"
-#include "persist/artifact.h"
 
 namespace ca::net {
 
@@ -706,15 +705,6 @@ FrameDecoder::next()
                             p + kFrameHeaderBytes, payload);
     consumed_ += kFrameHeaderBytes + payload;
     return f;
-}
-
-uint64_t
-automatonFingerprint(const MappedAutomaton &mapped)
-{
-    // The canonical identity lives in the persist layer now (the cluster
-    // replication path validates against it without depending on net);
-    // this wrapper keeps the historical net-side name.
-    return persist::artifactFingerprint(mapped);
 }
 
 } // namespace ca::net

@@ -67,7 +67,6 @@
 #include <vector>
 
 #include "baseline/nfa_engine.h"
-#include "compiler/mapping.h"
 #include "runtime/stream_session.h"
 
 namespace ca::net {
@@ -355,19 +354,6 @@ class FrameDecoder
 
 /** Decodes a payload given its type (exact-consumption checked). */
 Frame decodePayload(FrameType type, const uint8_t *payload, size_t size);
-
-// --- Automaton fingerprint ---------------------------------------------
-
-/**
- * Content fingerprint of a mapped automaton, as exchanged in HELLO: the
- * FNV-1a 64 hash of the automaton's canonical artifact serialization
- * (DSGN + NFA + PLAC sections under a fixed META). Deterministic across
- * hosts and across load paths — a server that compiled its ruleset and
- * one that warm-started from a CAAF artifact of the same compile produce
- * the same fingerprint, so clients can pin the exact automaton they
- * expect to be matched against.
- */
-uint64_t automatonFingerprint(const MappedAutomaton &mapped);
 
 } // namespace ca::net
 

@@ -27,7 +27,7 @@
  * Determinism: each session's delivered report stream is byte-identical
  * to a single-threaded run over the concatenation of its chunks, for
  * every worker count, slice length, and scheduling interleaving
- * (enforced by tests/runtime_test.cpp against the scored CPU oracle).
+ * (enforced by tests/runtime_test.cpp against the CPU oracle, NfaEngine).
  */
 #ifndef CA_RUNTIME_STREAM_SERVER_H
 #define CA_RUNTIME_STREAM_SERVER_H

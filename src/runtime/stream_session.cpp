@@ -17,49 +17,38 @@ StreamSession::StreamSession(StreamServer &server, uint32_t id,
 void
 StreamSession::submit(const uint8_t *data, size_t size)
 {
+    enqueue(data, size, true);
+}
+
+bool
+StreamSession::trySubmit(const uint8_t *data, size_t size)
+{
+    return enqueue(data, size, false);
+}
+
+bool
+StreamSession::enqueue(const uint8_t *data, size_t size, bool block)
+{
     if (size == 0)
-        return;
+        return true;
+    const char *caller = block ? "submit()" : "trySubmit()";
     bool need_schedule = false;
     {
         std::unique_lock<std::mutex> lock(mutex_);
         CA_FATAL_IF(close_requested_,
-                    "submit() on closed session " << id_);
+                    caller << " on closed session " << id_);
         const size_t depth = server_.options().sessionQueueDepth;
         if (chunks_.size() >= depth) {
+            if (!block)
+                return false;
             ++stats_.queueFullStalls;
             CA_COUNTER_ADD("ca.runtime.queue_full_stalls", 1);
             space_cv_.wait(lock, [&] {
                 return chunks_.size() < depth || close_requested_;
             });
             CA_FATAL_IF(close_requested_,
-                        "session " << id_ << " closed during submit()");
+                        "session " << id_ << " closed during " << caller);
         }
-        chunks_.emplace_back(data, data + size);
-        queued_bytes_ += size;
-        stats_.bytesSubmitted += size;
-        ++stats_.chunksSubmitted;
-        CA_COUNTER_ADD("ca.runtime.chunks", 1);
-        if (run_state_ == RunState::Idle && !suspended_) {
-            run_state_ = RunState::Queued;
-            need_schedule = true;
-        }
-    }
-    if (need_schedule)
-        server_.schedule(this);
-}
-
-bool
-StreamSession::trySubmit(const uint8_t *data, size_t size)
-{
-    if (size == 0)
-        return true;
-    bool need_schedule = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        CA_FATAL_IF(close_requested_,
-                    "trySubmit() on closed session " << id_);
-        if (chunks_.size() >= server_.options().sessionQueueDepth)
-            return false;
         chunks_.emplace_back(data, data + size);
         queued_bytes_ += size;
         stats_.bytesSubmitted += size;

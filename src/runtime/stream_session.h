@@ -139,6 +139,12 @@ class StreamSession
         Running ///< A worker is executing a slice.
     };
 
+    /**
+     * The one enqueue path behind submit() (@p block) and trySubmit():
+     * on a full queue it blocks or returns false; true once queued.
+     */
+    bool enqueue(const uint8_t *data, size_t size, bool block);
+
     // --- Worker-side interface (called by StreamServer) ---------------
 
     /**

@@ -26,6 +26,7 @@
 
 #include <unistd.h>
 
+#include "baseline/nfa_engine.h"
 #include "cluster/replication.h"
 #include "compiler/mapping.h"
 #include "core/error.h"
@@ -35,7 +36,6 @@
 #include "nfa/glushkov.h"
 #include "persist/artifact.h"
 #include "persist/cache.h"
-#include "sim/engine.h"
 #include "workload/input_gen.h"
 
 namespace fs = std::filesystem;
@@ -115,8 +115,7 @@ sampleInput(size_t bytes, uint64_t seed)
 std::vector<Report>
 oracleReports(const MappedAutomaton &m, const std::vector<uint8_t> &input)
 {
-    CacheAutomatonSim sim(m);
-    return sim.run(input).reports;
+    return NfaEngine(m.nfa()).run(input);
 }
 
 /** Streams @p input on a fresh connection and returns the reports. */

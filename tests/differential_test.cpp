@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential test: random hand-built automata × random inputs, every
- * engine against the CPU oracles (ROADMAP item 5).
+ * engine against the one CPU reference, NfaEngine.
  *
  * The automata mix random byte-class labels (single bytes, ranges,
  * sparse sets, wide and negated classes) with random edges, self-loops
@@ -12,15 +12,16 @@
  * the automata carry random weights and run under max-plus and
  * min-plus.
  *
- * Against NfaEngine (unweighted) or ScoredOracle (weighted) it checks:
+ * Against NfaEngine under the same semiring, scores included, it checks:
  *  - MatchEngine under Sparse, Dense and Auto with tiny Auto blocks;
  *  - CacheAutomatonSim under every kernel: the same reports, the
  *    enabled-state total and cycle trace of a reference stepper written
  *    here, and every activity counter equal across kernels;
  *  - ParallelMatcher at degrees 2-4 on unweighted automata;
  *  - a checkpoint at a random cut, restored into the other kernel;
- *  - that frontier() and frontierScores() equal the oracle's frontier
- *    at every cut, so every all-input start is listed at every cut;
+ *  - that frontier() and frontierScores() equal NfaEngine's frontier
+ *    and scores at every cut, so every all-input start is listed at
+ *    every cut;
  *  - an arbitrary frontier loaded with setState(), some all-input
  *    starts missing or off their start weight, against that reference.
  */
@@ -35,7 +36,6 @@
 #include "core/rng.h"
 #include "match/match_engine.h"
 #include "match/parallel_matcher.h"
-#include "score/oracle.h"
 #include "sim/engine.h"
 
 namespace ca {
@@ -284,9 +284,7 @@ TEST_P(Differential, EveryEngineMatchesTheOracle)
                          << "trial " << trial << ", semiring "
                          << semiringName(sr) << ", " << input.size()
                          << " bytes");
-            const std::vector<Report> expect = weighted
-                ? ScoredOracle(nfa, sr).run(input)
-                : NfaEngine(nfa).run(input);
+            const std::vector<Report> expect = NfaEngine(nfa, sr).run(input);
 
             auto options = [&](SimKernel k) {
                 MatchOptions o;
@@ -369,7 +367,7 @@ TEST_P(Differential, EveryEngineMatchesTheOracle)
             // frontier() and its scores equal the oracle's at every cut.
             for (SimKernel k : {SimKernel::Sparse, SimKernel::Dense}) {
                 MatchEngine eng(ctx, options(k));
-                ScoredOracle oracle(nfa, sr);
+                NfaEngine oracle(nfa, sr);
                 oracle.reset();
                 for (size_t i = 0; i <= input.size(); ++i) {
                     const std::vector<StateId> f = eng.frontier();

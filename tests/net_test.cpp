@@ -5,7 +5,7 @@
  *
  * The load-bearing properties:
  *  - Determinism: the report stream a client collects over TCP is
- *    byte-identical to the scored CPU oracle's run over the same input,
+ *    byte-identical to the CPU oracle's (NfaEngine) run over the same input,
  *    for any connections × streams × chunk-size split.
  *  - Robustness: malformed frames, abrupt client death, over-cap
  *    connects, and idle peers tear down only their own connection; the
@@ -32,7 +32,6 @@
 #include "net/socket.h"
 #include "nfa/glushkov.h"
 #include "persist/artifact.h"
-#include "score/oracle.h"
 #include "sim/engine.h"
 #include "telemetry/snapshot.h"
 #include "workload/input_gen.h"
@@ -98,14 +97,14 @@ sampleInput(size_t bytes, uint64_t seed)
 }
 
 /**
- * The single-threaded reference for one stream: the scored CPU oracle,
+ * The single-threaded reference for one stream: the CPU oracle,
  * which shares no code with the serving engines and gives exact reports
  * (and, on weighted automata, exact scores).
  */
 std::vector<Report>
 oracleReports(const MappedAutomaton &m, const std::vector<uint8_t> &input)
 {
-    return ScoredOracle(m.nfa()).run(input);
+    return NfaEngine(m.nfa()).run(input);
 }
 
 /**
@@ -632,7 +631,7 @@ TEST(Protocol, FingerprintIsStableAcrossCompileAndArtifactLoad)
 {
     TempDir dir;
     MappedAutomaton &m = sampleMapped();
-    uint64_t direct = net::automatonFingerprint(m);
+    uint64_t direct = persist::artifactFingerprint(m);
     EXPECT_NE(direct, 0u);
 
     persist::ArtifactMeta meta;
@@ -640,12 +639,12 @@ TEST(Protocol, FingerprintIsStableAcrossCompileAndArtifactLoad)
     persist::saveArtifact(dir.str("a.caa"), m, meta);
     persist::LoadedArtifact loaded =
         persist::loadArtifact(dir.str("a.caa"));
-    EXPECT_EQ(net::automatonFingerprint(*loaded.automaton), direct);
+    EXPECT_EQ(persist::artifactFingerprint(*loaded.automaton), direct);
 
     // A different automaton must not collide (sanity, not cryptography).
     MappedAutomaton other =
         mapPerformance(compileRuleset({"zebra", "yak+"}));
-    EXPECT_NE(net::automatonFingerprint(other), direct);
+    EXPECT_NE(persist::artifactFingerprint(other), direct);
 }
 
 // --- End-to-end: determinism -------------------------------------------
@@ -849,7 +848,7 @@ TEST(NetE2E, V3ClientGetsPlainReportsFromScoredServer)
     EXPECT_TRUE(closed);
 
     // Plain REPORTS rows drop the score but nothing else: equal to the
-    // scored oracle's report set with scores zeroed.
+    // oracle's report set with scores zeroed.
     std::vector<Report> expect = oracleReports(m, input);
     for (Report &r : expect)
         r.score = 0;
@@ -1045,11 +1044,11 @@ TEST(NetE2E, ArtifactServedServerMatchesInProcessRun)
     persist::saveArtifact(dir.str("served.caa"), m, meta);
 
     auto server = MatchServer::fromArtifact(dir.str("served.caa"));
-    EXPECT_EQ(server->fingerprint(), net::automatonFingerprint(m));
+    EXPECT_EQ(server->fingerprint(), persist::artifactFingerprint(m));
 
     auto input = sampleInput(16 << 10, 0xA27);
     ClientOptions copts;
-    copts.expectedFingerprint = net::automatonFingerprint(m); // pin
+    copts.expectedFingerprint = persist::artifactFingerprint(m); // pin
     MatchClient client;
     client.connect("127.0.0.1", server->port(), copts);
     uint32_t id = client.openStream();

@@ -102,8 +102,7 @@ sampleInput(size_t bytes, uint64_t seed)
 std::vector<Report>
 oracleReports(const MappedAutomaton &m, const std::vector<uint8_t> &input)
 {
-    CacheAutomatonSim sim(m);
-    return sim.run(input).reports;
+    return NfaEngine(m.nfa()).run(input);
 }
 
 std::vector<uint8_t>

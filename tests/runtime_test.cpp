@@ -5,9 +5,9 @@
  * The load-bearing property is determinism: for any worker count, slice
  * quantum, chunk split, and scheduling interleaving, each session's
  * delivered report stream must be byte-identical to a single-threaded
- * run of the scored CPU oracle over the same input. The stress tests below
- * randomize all of those dimensions; the suite is also the target of the
- * ThreadSanitizer CI configuration (scripts/ci.sh).
+ * run of the CPU oracle, NfaEngine, over the same input. The stress tests
+ * below randomize all of those dimensions; the suite is also the target of
+ * the ThreadSanitizer CI configuration (scripts/ci.sh).
  */
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "nfa/glushkov.h"
 #include "runtime/report_sink.h"
 #include "runtime/stream_server.h"
-#include "score/oracle.h"
 #include "sim/engine.h"
 #include "workload/input_gen.h"
 
@@ -56,14 +55,14 @@ sampleInput(size_t bytes, uint64_t seed)
 }
 
 /**
- * The single-threaded reference for one stream: the scored CPU oracle,
+ * The single-threaded reference for one stream: the CPU oracle,
  * which shares no code with the serving engines and gives exact reports
  * (and, on weighted automata, exact scores).
  */
 std::vector<Report>
 oracleReports(const MappedAutomaton &m, const std::vector<uint8_t> &input)
 {
-    return ScoredOracle(m.nfa()).run(input);
+    return NfaEngine(m.nfa()).run(input);
 }
 
 TEST(StreamServer, SingleSessionMatchesSingleThreadedRun)

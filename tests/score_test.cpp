@@ -4,7 +4,7 @@
  *
  * Every scored execution engine — both CacheAutomatonSim kernels, the
  * Auto selector, the functional MatchEngine, and the ParallelMatcher's
- * serial fallback — must reproduce the ScoredOracle's report stream
+ * serial fallback — must reproduce NfaEngine's report stream
  * *including scores* exactly, under both mapping policies and both
  * semirings. Also covers the zero-weight bit-identity guarantee (weights
  * never gate transitions; all-zero weights are indistinguishable from no
@@ -29,7 +29,6 @@
 #include "nfa/glushkov.h"
 #include "persist/artifact.h"
 #include "score/bioseq.h"
-#include "score/oracle.h"
 #include "score/semiring.h"
 #include "sim/engine.h"
 #include "workload/input_gen.h"
@@ -112,7 +111,7 @@ engineOpts(SimKernel k, ScoreSemiring sr = ScoreSemiring::MaxPlus)
 
 // ------------------------------------------------------------ sim kernels
 
-// Property: every sim kernel reproduces the scored oracle exactly —
+// Property: every sim kernel reproduces the CPU oracle exactly —
 // same reports, same order, same scores — under both mapping policies
 // and both semirings.
 class ScoredKernelEquality : public ::testing::TestWithParam<int>
@@ -130,7 +129,7 @@ TEST_P(ScoredKernelEquality, KernelsMatchOracleExactly)
     MappedAutomaton m = space ? mapSpace(nfa) : mapPerformance(nfa);
     auto input = sampleInput(8 << 10, 0xABC + param);
 
-    ScoredOracle oracle(nfa, sr);
+    NfaEngine oracle(nfa, sr);
     std::vector<Report> expect = oracle.run(input);
     ASSERT_FALSE(expect.empty()) << "vacuous scored input";
 
@@ -242,7 +241,7 @@ TEST(ScoredMatch, EngineMatchesOracleAcrossKernels)
     ASSERT_TRUE(ctx->scored());
     auto input = sampleInput(8 << 10, 0x3A7C);
 
-    ScoredOracle oracle(nfa);
+    NfaEngine oracle(nfa);
     std::vector<Report> expect = oracle.run(input);
     ASSERT_FALSE(expect.empty());
 
@@ -306,7 +305,7 @@ TEST(ScoredMatch, ParallelMatcherFallsBackToSerial)
         std::make_shared<const MappedAutomaton>(mapPerformance(nfa)));
     auto input = sampleInput(512 << 10, 0x9A12);
 
-    ScoredOracle oracle(nfa);
+    NfaEngine oracle(nfa);
     std::vector<Report> expect = oracle.run(input);
 
     ParallelOptions popts;
@@ -361,7 +360,7 @@ TEST(ScoredArtifact, WeightSectionRoundTrips)
     persist::LoadedArtifact loaded = persist::loadArtifactBytes(bytes);
     auto input = sampleInput(4 << 10, 0xCAAF);
     CacheAutomatonSim sim(loaded.automaton);
-    ScoredOracle oracle(nfa);
+    NfaEngine oracle(nfa);
     EXPECT_EQ(sim.run(input).reports, oracle.run(input));
 }
 
@@ -502,7 +501,7 @@ TEST(Bio, AnchoredRestrictsToPrefixAlignments)
     opt.anchored = true;
     Nfa nfa = bioLevenshteinNfa("ACGT", opt);
     std::string text = "ACGTTTACGT";
-    ScoredOracle oracle(nfa, opt.semiring);
+    NfaEngine oracle(nfa, opt.semiring);
     std::vector<Report> reports = oracle.run(
         reinterpret_cast<const uint8_t *>(text.data()), text.size());
     std::vector<BioWitnessHit> want = bioAlignWitness(

