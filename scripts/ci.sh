@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build + test the one default configuration
-# (telemetry is always compiled in; the runtime switch is its only gate),
-# then the kernel-pinned, loaded-repeat, bench-smoke, end-to-end and
-# sanitizer steps below.
+# Tier-1 verification: build (warnings are errors) + test the one
+# default configuration (telemetry is always compiled in; the runtime
+# switch is its only gate), then the kernel-pinned, loaded-repeat,
+# bench-smoke, perfbench self-test, end-to-end and sanitizer steps
+# below.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
 echo "=== configure build ==="
-cmake -B build -S .
+cmake -B build -S . -DCA_WERROR=ON
 echo "=== build build ==="
 cmake --build build -j "$JOBS"
 echo "=== test build ==="
@@ -40,9 +41,15 @@ ctest --test-dir build --repeat until-fail:20 -j 8 -L "net|runtime|cluster" \
 # report cross-check against the sim) at smoke size.
 ./build/bench/bench_parallel_match --smoke >/dev/null
 
-# The scored-matching bench's plumbing (scored vs plain table + oracle
-# cross-check of every arm's reports and scores) at smoke size.
+# The scored-matching bench's plumbing (MatchEngine scored vs plain
+# table + reference cross-check of every engine and sim arm's reports
+# and scores) at smoke size.
 ./build/bench/bench_scored_match --smoke >/dev/null
+
+# The serving benchmark's self-test: every workload at tiny scale, with
+# every delivered report, and every bio_scored score, checked against a
+# serial reference. It builds its own Release tree in .bench_build/.
+python3 perfbench/run.py --selftest >/dev/null
 
 # The observability-overhead bench's plumbing at smoke size: it must
 # drive real traffic with a live STATS poller ("polls > 0" in its

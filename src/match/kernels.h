@@ -217,31 +217,51 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
     const uint64_t *rep_mask = cx.dense_report_.data();
     const uint64_t *lswitch = cx.dense_lswitch_.data();
     const bool gather_reports = collect_ || Obs::kCountsReports;
-    // Scored runs keep the word-parallel row read for matching but
-    // propagate scores scalar per matched state via the successor CSR;
-    // an epoch array discriminates first-write from ⊕-combine without
-    // clearing the score vector each symbol.
+    // Scored runs keep the word-parallel row read for matching and
+    // relax each matched state's weighted edges, flat over the dense
+    // CSR. A target's nxt bit tells its first write this symbol from a
+    // ⊕, so the score vector is never cleared.
     Score *scur = Scored ? dense_score_cur_.data() : nullptr;
     Score *snxt = Scored ? dense_score_nxt_.data() : nullptr;
-    const uint32_t *fix_step_xadj = cx.fixed_step_xadj_.data();
+    const ScoreSemiring semiring = opts_.semiring;
+    const uint32_t *dsucc_xadj = cx.dense_succ_xadj_.data();
+    const uint32_t *dsucc = cx.dense_succ_.data();
+    const Weight *dsucc_w = cx.dense_succ_w_.data();
+    const Score *image_score =
+        cx.image_score_[static_cast<size_t>(semiring)].data();
     const uint32_t *fix_dense_xadj = cx.fixed_dense_xadj_.data();
     bool fixed = fixed_live_;
+    // Sets target ti's next bit; its score is cand on the first write,
+    // else cand ⊕ the score so far. The choice is a mask, not ?:, so the
+    // inner loop carries no data-dependent branch.
+    [[maybe_unused]] auto relax = [&](uint32_t ti, Score cand) {
+        uint64_t &word = nxt[ti >> 6];
+        const Score seen = -static_cast<Score>((word >> (ti & 63)) & 1);
+        const Score both = scoreCombine(semiring, snxt[ti], cand);
+        snxt[ti] = (both & seen) | (cand & ~seen);
+        word |= uint64_t{1} << (ti & 63);
+    };
 
     for (size_t i = 0; i < size; ++i) {
         uint8_t c = data[i];
         std::fill(nxt, nxt + words, 0);
-        [[maybe_unused]] uint64_t score_epoch = 0;
-        if constexpr (Scored)
-            score_epoch = ++dense_epoch_counter_;
-        // First write of dense target ti this symbol, or ⊕-combine.
-        [[maybe_unused]] auto relax = [&](uint32_t ti, Score cand) {
-            if (dense_score_epoch_[ti] != score_epoch) {
-                dense_score_epoch_[ti] = score_epoch;
-                snxt[ti] = cand;
-            } else {
-                snxt[ti] = scoreCombine(opts_.semiring, snxt[ti], cand);
+        if constexpr (Scored) {
+            // With the fixed starts live, everything the starts enable
+            // goes in first, scores stored outright from the byte's
+            // image, so the frontier's edges below ⊕ into it.
+            if (fixed) {
+                for (uint32_t k = fix_dense_xadj[c];
+                     k < fix_dense_xadj[c + 1]; ++k)
+                    nxt[cx.fixed_dense_[k].first] |=
+                        cx.fixed_dense_[k].second;
+                for (const auto &[w, mask] : cx.dense_reentrant_words_)
+                    nxt[w] |= mask;
+                const uint8_t cls = cx.byte_class_[c];
+                for (uint32_t k = cx.image_xadj_[cls];
+                     k < cx.image_xadj_[cls + 1]; ++k)
+                    snxt[cx.image_target_[k]] = image_score[k];
             }
-        };
+        }
 
         if (fixed)
             obs.fixedStarts(c);
@@ -286,30 +306,31 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
                     }
                 }
                 // Transition: matched states drive their L-switch rows
-                // (4-word OR) and their few G-switch wires.
+                // (4-word OR) and their few G-switch wires; scored runs
+                // relax their weighted edges instead.
                 while (mw) {
                     int b = std::countr_zero(mw);
                     uint32_t di = static_cast<uint32_t>(
                         (base + static_cast<size_t>(w)) * 64 +
                         static_cast<size_t>(b));
-                    const uint64_t *row = lswitch +
-                        static_cast<size_t>(di) * kWordsPerPartition;
-                    nxt[base + 0] |= row[0];
-                    nxt[base + 1] |= row[1];
-                    nxt[base + 2] |= row[2];
-                    nxt[base + 3] |= row[3];
-                    for (uint32_t e = cx.dense_cross_xadj_[di];
-                         e < cx.dense_cross_xadj_[di + 1]; ++e) {
-                        uint32_t ti = cx.dense_cross_[e];
-                        nxt[ti >> 6] |= uint64_t{1} << (ti & 63);
-                    }
                     if constexpr (Scored) {
-                        const StateId s = cx.state_of_dense_[di];
                         const Score from = scur[di];
-                        const uint32_t end = cx.succ_xadj_[s + 1];
-                        for (uint32_t e = cx.succ_xadj_[s]; e < end; ++e)
-                            relax(cx.dense_index_of_[cx.succ_[e]],
-                                  from + static_cast<Score>(cx.succ_w_[e]));
+                        const uint32_t end = dsucc_xadj[di + 1];
+                        for (uint32_t e = dsucc_xadj[di]; e < end; ++e)
+                            relax(dsucc[e],
+                                  from + static_cast<Score>(dsucc_w[e]));
+                    } else {
+                        const uint64_t *row = lswitch +
+                            static_cast<size_t>(di) * kWordsPerPartition;
+                        nxt[base + 0] |= row[0];
+                        nxt[base + 1] |= row[1];
+                        nxt[base + 2] |= row[2];
+                        nxt[base + 3] |= row[3];
+                        for (uint32_t e = cx.dense_cross_xadj_[di];
+                             e < cx.dense_cross_xadj_[di + 1]; ++e) {
+                            uint32_t ti = cx.dense_cross_[e];
+                            nxt[ti >> 6] |= uint64_t{1} << (ti & 63);
+                        }
                     }
                     mw &= mw - 1;
                 }
@@ -319,19 +340,11 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
         if (fixed) {
             if (gather_reports)
                 gatherFixedReports<Scored>(c);
-            for (uint32_t k = fix_dense_xadj[c]; k < fix_dense_xadj[c + 1];
-                 ++k)
-                nxt[cx.fixed_dense_[k].first] |= cx.fixed_dense_[k].second;
-            if constexpr (Scored) {
-                for (uint32_t k = fix_step_xadj[c];
-                     k < fix_step_xadj[c + 1]; ++k) {
-                    const StateId s = cx.fixed_step_[k];
-                    const Score from = static_cast<Score>(cx.start_w_[s]);
-                    for (uint32_t e = cx.succ_xadj_[s];
-                         e < cx.succ_xadj_[s + 1]; ++e)
-                        relax(cx.dense_index_of_[cx.succ_[e]],
-                              from + static_cast<Score>(cx.succ_w_[e]));
-                }
+            if constexpr (!Scored) {
+                for (uint32_t k = fix_dense_xadj[c];
+                     k < fix_dense_xadj[c + 1]; ++k)
+                    nxt[cx.fixed_dense_[k].first] |=
+                        cx.fixed_dense_[k].second;
             }
         }
         if constexpr (Scored)
@@ -339,12 +352,17 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
         else
             obs.symbolEnd(offset_, emitCycleReports());
 
-        for (const auto &[w, mask] : cx.dense_reentrant_words_)
-            nxt[w] |= mask;
         if constexpr (Scored) {
-            for (StateId s : cx.reentrant_)
-                relax(cx.dense_index_of_[s],
-                      static_cast<Score>(cx.start_w_[s]));
+            // The fixed starts were not live, so no image went in: the
+            // re-entrant starts ⊕ in at their start weights here.
+            if (!fixed) {
+                for (StateId s : cx.reentrant_)
+                    relax(cx.dense_index_of_[s],
+                          static_cast<Score>(cx.start_w_[s]));
+            }
+        } else {
+            for (const auto &[w, mask] : cx.dense_reentrant_words_)
+                nxt[w] |= mask;
         }
 
         std::swap(cur, nxt);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <map>
 
 #include "core/error.h"
 #include "core/logging.h"
@@ -200,6 +201,37 @@ MatchContext::buildDenseTables()
         }
     }
 
+    dense_report_.assign(words, 0);
+    for (StateId s = 0; s < num_states_; ++s) {
+        if (report_info_[s] & 1) {
+            uint32_t di = dense_index_of_[s];
+            dense_report_[di >> 6] |= uint64_t{1} << (di & 63);
+        }
+    }
+    dense_available_ = true;
+
+    if (scored_) {
+        // The scored step relaxes every edge of a matched state by its
+        // weight, so it reads one CSR over the source's dense index in
+        // place of the L-switch and G-switch split.
+        dense_succ_xadj_.assign(state_of_dense_.size() + 1, 0);
+        for (StateId s = 0; s < num_states_; ++s)
+            dense_succ_xadj_[dense_index_of_[s] + 1] =
+                succ_xadj_[s + 1] - succ_xadj_[s];
+        for (size_t i = 1; i < dense_succ_xadj_.size(); ++i)
+            dense_succ_xadj_[i] += dense_succ_xadj_[i - 1];
+        dense_succ_.resize(succ_.size());
+        dense_succ_w_.resize(succ_.size());
+        for (StateId s = 0; s < num_states_; ++s) {
+            uint32_t fill = dense_succ_xadj_[dense_index_of_[s]];
+            for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e) {
+                dense_succ_[fill] = dense_index_of_[succ_[e]];
+                dense_succ_w_[fill++] = succ_w_[e];
+            }
+        }
+        return;
+    }
+
     // L-switch crossbar rows (intra-partition successors) and G-switch
     // CSR (cross-partition successors, few per state by the 16/8 wire
     // budgets).
@@ -234,16 +266,6 @@ MatchContext::buildDenseTables()
             }
         }
     }
-
-    dense_report_.assign(words, 0);
-    for (StateId s = 0; s < num_states_; ++s) {
-        if (report_info_[s] & 1) {
-            uint32_t di = dense_index_of_[s];
-            dense_report_[di >> 6] |= uint64_t{1} << (di & 63);
-        }
-    }
-
-    dense_available_ = true;
 }
 
 void
@@ -338,6 +360,65 @@ MatchContext::buildStartTables()
         touched.clear();
         fixed_dense_xadj_[c + 1] = static_cast<uint32_t>(fixed_dense_.size());
     }
+    if (scored_)
+        buildScoreImage();
+}
+
+void
+MatchContext::buildScoreImage()
+{
+    // Each class's image, accumulated in scratch score arrays (one per
+    // semiring) over the dense targets, then emitted in ascending target
+    // order and cleared. Bytes with the same stepping fixed starts map
+    // to one class and share its list, so there are as many lists as
+    // distinct per-byte behaviours, not 256 (a DNA automaton has five).
+    constexpr ScoreSemiring kSemirings[] = {ScoreSemiring::MaxPlus,
+                                            ScoreSemiring::MinPlus};
+    const size_t bits = state_of_dense_.size();
+    std::array<std::vector<Score>, 2> acc;
+    for (auto &a : acc)
+        a.assign(bits, 0);
+    std::vector<uint8_t> seen(bits, 0);
+    std::vector<uint32_t> touched;
+    auto enable = [&](uint32_t ti, Score cand) {
+        for (ScoreSemiring sr : kSemirings) {
+            Score &a = acc[static_cast<size_t>(sr)][ti];
+            a = seen[ti] ? scoreCombine(sr, a, cand) : cand;
+        }
+        if (!seen[ti])
+            touched.push_back(ti);
+        seen[ti] = 1;
+    };
+
+    std::map<std::vector<StateId>, uint8_t> class_of;
+    image_xadj_.assign(1, 0);
+    for (size_t c = 0; c < 256; ++c) {
+        std::vector<StateId> stepping(
+            fixed_step_.begin() + fixed_step_xadj_[c],
+            fixed_step_.begin() + fixed_step_xadj_[c + 1]);
+        const auto [it, fresh] = class_of.emplace(
+            std::move(stepping), static_cast<uint8_t>(class_of.size()));
+        byte_class_[c] = it->second;
+        if (!fresh)
+            continue;
+        for (StateId s : it->first)
+            for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e)
+                enable(dense_index_of_[succ_[e]],
+                       static_cast<Score>(start_w_[s]) +
+                           static_cast<Score>(succ_w_[e]));
+        for (StateId s : reentrant_)
+            enable(dense_index_of_[s], static_cast<Score>(start_w_[s]));
+        std::sort(touched.begin(), touched.end());
+        for (uint32_t ti : touched) {
+            image_target_.push_back(ti);
+            for (ScoreSemiring sr : kSemirings)
+                image_score_[static_cast<size_t>(sr)].push_back(
+                    acc[static_cast<size_t>(sr)][ti]);
+            seen[ti] = 0;
+        }
+        touched.clear();
+        image_xadj_.push_back(static_cast<uint32_t>(image_target_.size()));
+    }
 }
 
 void
@@ -388,7 +469,6 @@ MatchEngine::MatchEngine(std::shared_ptr<const MatchContext> ctx,
         if (ctx_->scored()) {
             dense_score_cur_.assign(bits, 0);
             dense_score_nxt_.assign(bits, 0);
-            dense_score_epoch_.assign(bits, 0);
         }
     }
     if (ctx_->scored()) {

@@ -22,6 +22,7 @@
 #ifndef CA_MATCH_MATCH_ENGINE_H
 #define CA_MATCH_MATCH_ENGINE_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -173,6 +174,16 @@ struct MatchOptions
  * carry startWeight + edge weight), and the successors as dense (word,
  * mask) pairs.
  *
+ * The dense step's successor tables depend on whether the automaton is
+ * weighted. An unweighted one gets the hardware's split: L-switch rows
+ * (intra-partition successor masks) and a G-switch CSR of cross-
+ * partition edges. A weighted one gets one struct-of-arrays CSR over
+ * the source's dense index (target bit, then edge weight), plus the
+ * fixed starts' constant next-score image: per byte class (bytes whose
+ * stepping fixed starts are the same), each target the fixed starts and
+ * re-entrant starts enable and its ⊕-combined score, one score list per
+ * semiring.
+ *
  *  - startFrontier(): the exact offset-0 frontier (StartOfData and
  *    AllInput start states).
  *  - reachableFrontier(): AllInput starts plus every state reachable
@@ -235,6 +246,7 @@ class MatchContext
     void buildSparseTables();
     void buildDenseTables();
     void buildStartTables();
+    void buildScoreImage();
     void buildFrontiers();
 
     /** Keeps a loaded automaton alive; null when bound by reference. */
@@ -270,11 +282,20 @@ class MatchContext
     std::vector<StateId> state_of_dense_;
     /** Symbol-major row reads: rows_[((c*P)+p)*4 + w]. */
     std::vector<uint64_t> dense_rows_;
+    // Successors, unweighted automata: the L-switch and G-switch split.
     /** L-switch: per-state intra-partition successor masks. */
     std::vector<uint64_t> dense_lswitch_;
     /** G-switch: CSR of cross-partition successor dense indices. */
     std::vector<uint32_t> dense_cross_xadj_;
     std::vector<uint32_t> dense_cross_;
+    /**
+     * Successors, weighted automata: every edge in a CSR over the
+     * source's dense index, struct-of-arrays (target dense index, edge
+     * weight).
+     */
+    std::vector<uint32_t> dense_succ_xadj_;
+    std::vector<uint32_t> dense_succ_;
+    std::vector<Weight> dense_succ_w_;
     /** Per-partition reporting mask (p*4+w). */
     std::vector<uint64_t> dense_report_;
     /** Non-zero words of the re-entrant starts' mask, OR-ed in each cycle. */
@@ -295,6 +316,19 @@ class MatchContext
     /** Byte c's fixed-start successors as dense (word, mask) pairs. */
     std::vector<uint32_t> fixed_dense_xadj_;
     std::vector<std::pair<uint32_t, uint64_t>> fixed_dense_;
+    /**
+     * Weighted automata: the next-score image the starts give byte c,
+     * at image_xadj_[byte_class_[c]]. Each entry is a dense target (a
+     * fixed start's successor, at startWeight + edge weight, or a
+     * re-entrant start, at startWeight) with its scores ⊕-combined per
+     * target; one score list per semiring, indexed by ScoreSemiring.
+     * Its targets are exactly the bits of byte c's fixed (word, mask)
+     * pairs and the re-entrant words.
+     */
+    std::array<uint8_t, 256> byte_class_{};
+    std::vector<uint32_t> image_xadj_;
+    std::vector<uint32_t> image_target_;
+    std::array<std::vector<Score>, 2> image_score_;
 
     // Precomputed frontier sets (sorted, deduplicated).
     std::vector<StateId> start_frontier_;
@@ -353,6 +387,12 @@ struct NullObserver
  * oracles): a report fires at the offset of the symbol that activated
  * the reporting state, and within one symbol reports are emitted in
  * ascending state-id order.
+ *
+ * On a weighted automaton the dense step starts each symbol's next
+ * frontier from the byte's start image, bits and scores both, then
+ * relaxes every matched state's weighted edges into it. A target's
+ * next-frontier bit tells its first score from a ⊕, so the score
+ * vectors are never cleared.
  */
 class MatchEngine
 {
@@ -503,11 +543,10 @@ class MatchEngine
     // dense scores are dense-indexed, valid where dense_cur_ is set.
     std::vector<Score> score_cur_;
     std::vector<Score> score_nxt_;
+    // A dense next score is valid where dense_nxt_ is set: the step
+    // writes a target's first score outright and ⊕s the rest into it.
     std::vector<Score> dense_score_cur_;
     std::vector<Score> dense_score_nxt_;
-    /** First-write-vs-combine discriminator for dense score targets. */
-    std::vector<uint64_t> dense_score_epoch_;
-    uint64_t dense_epoch_counter_ = 0;
 
     // Auto-kernel state.
     double density_ewma_ = 0.0;

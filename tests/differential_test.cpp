@@ -8,9 +8,12 @@
  * included. Each has StartOfData starts and AllInput starts both with
  * and without in-edges: the kernels serve an all-input start no edge
  * enters from per-byte tables and keep the others in their frontier, so
- * both kinds must be present for the split to be pinned down. A third of
- * the automata carry random weights and run under max-plus and
- * min-plus.
+ * both kinds must be present for the split to be pinned down. Some of
+ * those fixed starts match one cold byte alone (outside the hot range,
+ * one of them at or above 0x80), and the inputs draw the cold bytes, so
+ * a per-byte table that serves one byte another byte's entry shows. A
+ * third of the automata carry random weights and run under max-plus
+ * and min-plus.
  *
  * Against NfaEngine under the same semiring, scores included, it checks:
  *  - MatchEngine under Sparse, Dense and Auto with tiny Auto blocks;
@@ -57,6 +60,22 @@ hotByte(Rng &rng)
     return static_cast<uint8_t>('a' + rng.below(5));
 }
 
+/**
+ * Two bytes outside the hot range, the first at or above 0x80, the
+ * second below it and not 0. Fixed starts that match one of them alone
+ * give it per-byte start tables unlike any hot byte's and unlike byte
+ * 0's, which random labels rarely do.
+ */
+std::vector<uint8_t>
+coldBytes(Rng &rng)
+{
+    const uint8_t high = static_cast<uint8_t>(0x80 + rng.below(0x80));
+    uint8_t low = static_cast<uint8_t>(1 + rng.below(0x7f));
+    if (low >= 'a' && low < 'a' + 5)
+        low = static_cast<uint8_t>(low + 5);
+    return {high, low};
+}
+
 SymbolSet
 randomLabel(Rng &rng)
 {
@@ -87,7 +106,7 @@ randomLabel(Rng &rng)
 }
 
 Nfa
-randomNfa(Rng &rng, bool weighted)
+randomNfa(Rng &rng, bool weighted, const std::vector<uint8_t> &cold)
 {
     const size_t n = 3 + rng.below(30);
     Nfa nfa;
@@ -100,14 +119,23 @@ randomNfa(Rng &rng, bool weighted)
             start = StartType::AllInput;
         else if (s == 2 || r < 0.3)
             start = StartType::StartOfData;
-        nfa.addState(randomLabel(rng), start, rng.chance(0.3),
+        closed[s] = s == 0 ||
+            (start == StartType::AllInput && s != 1 && rng.chance(0.6));
+        // Fixed start 0 matches the high cold byte alone; others may
+        // match one cold byte alone.
+        SymbolSet label;
+        if (s == 0)
+            label = SymbolSet::of(cold[0]);
+        else if (closed[s] && rng.chance(0.5))
+            label = SymbolSet::of(cold[rng.below(cold.size())]);
+        else
+            label = randomLabel(rng);
+        nfa.addState(label, start, rng.chance(0.3),
                      static_cast<uint32_t>(rng.below(4)));
-        closed[s] = start == StartType::AllInput && s != 1 && rng.chance(0.6);
         if (weighted && start != StartType::None)
             nfa.state(static_cast<StateId>(s)).startWeight =
                 static_cast<Weight>(rng.range(-3, 3));
     }
-    closed[0] = true;
     auto edge = [&](StateId from, StateId to) {
         if (weighted)
             nfa.addTransition(from, to,
@@ -126,16 +154,24 @@ randomNfa(Rng &rng, bool weighted)
     }
     // State 1 is an all-input start with an in-edge.
     edge(static_cast<StateId>(2 + rng.below(n - 2)), 1);
+    // A reporting state only fixed start 0 enables, so what the high
+    // cold byte steps shows in the frontier and the reports.
+    edge(0, nfa.addState(randomLabel(rng), StartType::None, true,
+                         static_cast<uint32_t>(rng.below(4))));
     nfa.dedupeEdges();
     return nfa;
 }
 
 std::vector<uint8_t>
-randomInput(Rng &rng, size_t size)
+randomInput(Rng &rng, size_t size, const std::vector<uint8_t> &cold)
 {
     std::vector<uint8_t> out(size);
-    for (uint8_t &b : out)
-        b = rng.chance(0.85) ? hotByte(rng) : rng.byte();
+    for (uint8_t &b : out) {
+        const double r = rng.uniform();
+        b = r < 0.85 ? hotByte(rng)
+            : r < 0.92 ? cold[rng.below(cold.size())]
+                       : rng.byte();
+    }
     return out;
 }
 
@@ -266,7 +302,8 @@ TEST_P(Differential, EveryEngineMatchesTheOracle)
     const int param = GetParam();
     Rng rng(0xD1FFull + static_cast<uint64_t>(param) * 7919);
     const bool weighted = param % 3 == 2;
-    Nfa built = randomNfa(rng, weighted);
+    const std::vector<uint8_t> cold = coldBytes(rng);
+    Nfa built = randomNfa(rng, weighted, cold);
     MappedAutomaton m = param % 2 ? mapSpace(built) : mapPerformance(built);
     const Nfa &nfa = m.nfa();
     auto ctx = std::make_shared<const MatchContext>(m);
@@ -278,7 +315,7 @@ TEST_P(Differential, EveryEngineMatchesTheOracle)
 
     for (int trial = 0; trial < 3; ++trial) {
         const std::vector<uint8_t> input =
-            randomInput(rng, rng.below(trial == 0 ? 40 : 600));
+            randomInput(rng, rng.below(trial == 0 ? 40 : 600), cold);
         for (ScoreSemiring sr : semirings) {
             SCOPED_TRACE(testing::Message()
                          << "trial " << trial << ", semiring "
