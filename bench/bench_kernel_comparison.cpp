@@ -6,9 +6,10 @@
  * behaviour, as a function of the non-start frontier density.
  *
  * The sparse kernel pays O(enabled states) per symbol, the dense
- * bit-parallel kernel O(partitions with enabled states). Both serve the
- * fixed starts (all-input starts no edge enters) from the same per-byte
- * tables, so which one wins is governed by the rest of the frontier:
+ * bit-parallel kernel O(partitions with enabled states). Both seed each
+ * next frontier from the same per-class start image, which serves the
+ * fixed starts (all-input starts no edge enters), so which one wins is
+ * governed by the rest of the frontier:
  * "Non-start" density, avg enabled states other than the fixed starts ÷
  * total states, which is also the Auto selector's signal. This bench
  * sweeps the suite under both kernels (and Auto), prints the

@@ -14,9 +14,9 @@
  *      so the cost columns isolate exactly what score accumulation adds
  *      per kernel, under max-plus and under min-plus.
  *
- *   2. Unscored automata pay nothing: the unscored arms run the exact
- *      pre-scoring kernels (Scored=false is an if-constexpr twin), and
- *      the guard section re-times the stripped automaton against a
+ *   2. Unscored automata pay nothing: the unscored arms run the
+ *      Scored=false kernels, which hold no score state (the score work
+ *      is in if-constexpr blocks), and the guard section re-times the stripped automaton against a
  *      structurally identical one whose weight vectors are materialized
  *      but all-zero. hasWeights() is value-based, so both must take the
  *      unscored path; any daylight between them means the unscored path

@@ -16,6 +16,13 @@ cmake --build build -j "$JOBS"
 echo "=== test build ==="
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+# The optimisation level perfbench times (-O3), warnings as errors too:
+# GCC warns differently at -O3, and the measured build must stay clean.
+echo "=== configure build-release (Release, warnings are errors) ==="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCA_WERROR=ON
+echo "=== build build-release ==="
+cmake --build build-release -j "$JOBS"
+
 # The sim and runtime suites under each execution kernel: CA_SIM_KERNEL
 # overrides the kernel process-wide, StreamServer engines included, so
 # the oracle-equivalence, streaming, checkpoint and served-stream

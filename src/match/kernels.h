@@ -4,6 +4,13 @@
  * dispatches between them, templated on a kernel observer
  * (match::NullObserver documents the hooks).
  *
+ * Both steppers, scored and unscored alike, take one step shape
+ * (docs/MATCH.md): the next frontier starts as the start image of the
+ * byte's class (MatchContext), the frontier's matched edges go on top,
+ * and the symbol's reports go through one (state, score) buffer. The
+ * fixed starts decide only the class (the empty class 0 until they are
+ * live) and the observer's fixedStarts() call.
+ *
  * Included by match_engine.cpp, which instantiates them with
  * NullObserver, and by the simulator, which instantiates them with its
  * ActivityObserver. Every hook is an inline call on a concrete type, so
@@ -96,24 +103,11 @@ MatchEngine::runKernel(bool dense, const uint8_t *data, size_t size,
     }
 }
 
-template <bool Scored>
-void
-MatchEngine::gatherFixedReports(uint8_t c)
-{
-    const MatchContext &cx = *ctx_;
-    for (uint32_t k = cx.fixed_report_xadj_[c];
-         k < cx.fixed_report_xadj_[c + 1]; ++k) {
-        const StateId s = cx.fixed_report_[k];
-        if constexpr (Scored)
-            cycle_report_scored_.emplace_back(
-                s, static_cast<Score>(cx.start_w_[s]));
-        else
-            cycle_report_scratch_.push_back(s);
-    }
-}
-
+// The steppers stay out of line: inlined into runKernel, their one call
+// site each, they shared one register allocation, and GCC spilled the
+// dense frontier pointer in the partition scan.
 template <bool Scored, class Obs>
-void
+[[gnu::noinline]] void
 MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
 {
     const MatchContext &cx = *ctx_;
@@ -121,7 +115,9 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
     const uint64_t *report_info = cx.report_info_.data();
     const uint32_t *succ_xadj = cx.succ_xadj_.data();
     const StateId *succ = cx.succ_.data();
-    const uint32_t *fix_step_xadj = cx.fixed_step_xadj_.data();
+    const StateId *image_state = cx.image_state_.data();
+    const Score *image_score =
+        cx.image_score_[static_cast<size_t>(opts_.semiring)].data();
     const bool gather_reports = collect_ || Obs::kCountsReports;
     bool fixed = fixed_live_;
 
@@ -129,9 +125,12 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
         uint8_t c = data[i];
         const uint64_t label_bit = uint64_t{1} << (c & 63);
         const size_t label_word = c >> 6;
+        const uint16_t cls = fixed ? cx.byte_class_[c] : 0;
+        const MatchContext::ClassBegin &run = cx.class_begin_[cls];
+        const MatchContext::ClassBegin &run_end = cx.class_begin_[cls + 1];
 
-        // State-match phase: the frontier's states, then the fixed
-        // starts' reports for this byte.
+        // State-match phase: the frontier's states, then the class's
+        // reporting fixed starts.
         if (fixed)
             obs.fixedStarts(c);
         obs.sparseFrontier(enabled_);
@@ -141,19 +140,14 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
                 continue;
             active_scratch_.push_back(s);
             obs.sparseMatch(s);
-            if (gather_reports && (report_info[s] & 1)) {
-                if constexpr (Scored)
-                    cycle_report_scored_.emplace_back(s, score_cur_[s]);
-                else
-                    cycle_report_scratch_.push_back(s);
-            }
+            if (gather_reports && (report_info[s] & 1))
+                cycle_reports_.emplace_back(s, Scored ? score_cur_[s] : 0);
         }
-        if (fixed && gather_reports)
-            gatherFixedReports<Scored>(c);
-        if constexpr (Scored)
-            obs.symbolEnd(offset_, emitCycleReportsScored());
-        else
-            obs.symbolEnd(offset_, emitCycleReports());
+        if (gather_reports) {
+            for (uint32_t k = run.report; k < run_end.report; ++k)
+                cycle_reports_.push_back(cx.class_report_[k]);
+        }
+        obs.symbolEnd(offset_, emitCycleReports());
 
         // State-transition phase. Clear only the bits set last cycle (the
         // mask is as wide as the NFA; a full clear would dominate).
@@ -172,6 +166,9 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
                     scoreCombine(opts_.semiring, score_nxt_[t], cand);
             }
         };
+        // The next frontier starts as the class's image.
+        for (uint32_t k = run.target; k < run_end.target; ++k)
+            enable(image_state[k], Scored ? image_score[k] : 0);
         for (StateId s : active_scratch_) {
             uint32_t end = succ_xadj[s + 1];
             for (uint32_t e = succ_xadj[s]; e < end; ++e) {
@@ -181,21 +178,6 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
                 enable(succ[e], cand);
             }
         }
-        if (fixed) {
-            for (uint32_t k = fix_step_xadj[c]; k < fix_step_xadj[c + 1];
-                 ++k) {
-                const StateId s = cx.fixed_step_[k];
-                for (uint32_t e = succ_xadj[s]; e < succ_xadj[s + 1]; ++e)
-                    enable(succ[e],
-                           Scored ? static_cast<Score>(cx.start_w_[s]) +
-                                   static_cast<Score>(cx.succ_w_[e])
-                                  : 0);
-            }
-        }
-        // A re-entrant start competes with any incoming path at its
-        // start weight (a fresh local alignment).
-        for (StateId s : cx.reentrant_)
-            enable(s, Scored ? static_cast<Score>(cx.start_w_[s]) : 0);
         if constexpr (Scored)
             score_cur_.swap(score_nxt_);
         ++offset_;
@@ -206,7 +188,7 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
 }
 
 template <bool Scored, class Obs>
-void
+[[gnu::noinline]] void
 MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
 {
     const MatchContext &cx = *ctx_;
@@ -227,9 +209,9 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
     const uint32_t *dsucc_xadj = cx.dense_succ_xadj_.data();
     const uint32_t *dsucc = cx.dense_succ_.data();
     const Weight *dsucc_w = cx.dense_succ_w_.data();
+    const uint32_t *image_dense = cx.image_dense_.data();
     const Score *image_score =
         cx.image_score_[static_cast<size_t>(semiring)].data();
-    const uint32_t *fix_dense_xadj = cx.fixed_dense_xadj_.data();
     bool fixed = fixed_live_;
     // Sets target ti's next bit; its score is cand on the first write,
     // else cand ⊕ the score so far. The choice is a mask, not ?:, so the
@@ -244,23 +226,22 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
 
     for (size_t i = 0; i < size; ++i) {
         uint8_t c = data[i];
+        const uint16_t cls = fixed ? cx.byte_class_[c] : 0;
+        const MatchContext::ClassBegin &run = cx.class_begin_[cls];
+        const MatchContext::ClassBegin &run_end = cx.class_begin_[cls + 1];
+        // The next frontier starts as the class's image, its scores
+        // stored outright, so the frontier's edges below ⊕ into it. The
+        // class's reports go in first too: emission sorts them.
         std::fill(nxt, nxt + words, 0);
+        for (uint32_t k = run.word; k < run_end.word; ++k)
+            nxt[cx.image_word_[k].first] |= cx.image_word_[k].second;
         if constexpr (Scored) {
-            // With the fixed starts live, everything the starts enable
-            // goes in first, scores stored outright from the byte's
-            // image, so the frontier's edges below ⊕ into it.
-            if (fixed) {
-                for (uint32_t k = fix_dense_xadj[c];
-                     k < fix_dense_xadj[c + 1]; ++k)
-                    nxt[cx.fixed_dense_[k].first] |=
-                        cx.fixed_dense_[k].second;
-                for (const auto &[w, mask] : cx.dense_reentrant_words_)
-                    nxt[w] |= mask;
-                const uint8_t cls = cx.byte_class_[c];
-                for (uint32_t k = cx.image_xadj_[cls];
-                     k < cx.image_xadj_[cls + 1]; ++k)
-                    snxt[cx.image_target_[k]] = image_score[k];
-            }
+            for (uint32_t k = run.target; k < run_end.target; ++k)
+                snxt[image_dense[k]] = image_score[k];
+        }
+        if (gather_reports) {
+            for (uint32_t k = run.report; k < run_end.report; ++k)
+                cycle_reports_.push_back(cx.class_report_[k]);
         }
 
         if (fixed)
@@ -296,12 +277,8 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
                         uint32_t di = static_cast<uint32_t>(
                             (base + static_cast<size_t>(w)) * 64 +
                             static_cast<size_t>(b));
-                        if constexpr (Scored)
-                            cycle_report_scored_.emplace_back(
-                                cx.state_of_dense_[di], scur[di]);
-                        else
-                            cycle_report_scratch_.push_back(
-                                cx.state_of_dense_[di]);
+                        cycle_reports_.emplace_back(cx.state_of_dense_[di],
+                                                    Scored ? scur[di] : 0);
                         rw &= rw - 1;
                     }
                 }
@@ -336,34 +313,7 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
                 }
             }
         }
-        // The fixed starts: the byte's reports and successor words.
-        if (fixed) {
-            if (gather_reports)
-                gatherFixedReports<Scored>(c);
-            if constexpr (!Scored) {
-                for (uint32_t k = fix_dense_xadj[c];
-                     k < fix_dense_xadj[c + 1]; ++k)
-                    nxt[cx.fixed_dense_[k].first] |=
-                        cx.fixed_dense_[k].second;
-            }
-        }
-        if constexpr (Scored)
-            obs.symbolEnd(offset_, emitCycleReportsScored());
-        else
-            obs.symbolEnd(offset_, emitCycleReports());
-
-        if constexpr (Scored) {
-            // The fixed starts were not live, so no image went in: the
-            // re-entrant starts ⊕ in at their start weights here.
-            if (!fixed) {
-                for (StateId s : cx.reentrant_)
-                    relax(cx.dense_index_of_[s],
-                          static_cast<Score>(cx.start_w_[s]));
-            }
-        } else {
-            for (const auto &[w, mask] : cx.dense_reentrant_words_)
-                nxt[w] |= mask;
-        }
+        obs.symbolEnd(offset_, emitCycleReports());
 
         std::swap(cur, nxt);
         if constexpr (Scored)

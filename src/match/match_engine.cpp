@@ -120,7 +120,7 @@ MatchContext::buildSparseTables()
     }
 
     // Weighted automata additionally flatten the edge/start weights;
-    // unweighted ones skip all of it and run the exact unscored kernels.
+    // unweighted ones skip all of it and run the unscored kernels.
     scored_ = nfa.hasWeights();
     if (scored_) {
         succ_w_.assign(succ_.size(), 0);
@@ -280,144 +280,90 @@ MatchContext::buildStartTables()
     for (StateId s : all_input_)
         (has_in_edge[s] ? reentrant_ : fixed_).push_back(s);
 
-    // Per-byte CSRs, built per fixed start from its label bits: count,
-    // prefix-sum, fill. Filling in ascending state order keeps each
-    // byte's lists sorted.
-    auto forEachByte = [&](StateId s, auto &&fn) {
+    // A byte's class is the set of fixed starts its label bits match.
+    // Classes are numbered in order of first appearance after the empty
+    // class 0, which also serves every symbol while the fixed starts are
+    // not live.
+    std::array<std::vector<StateId>, 256> matching;
+    for (StateId s : fixed_) {
         for (int w = 0; w < 4; ++w) {
-            for (uint64_t bits = labels_[s * 4 + w]; bits;
-                 bits &= bits - 1)
-                fn(static_cast<size_t>(w) * 64 +
-                   static_cast<size_t>(std::countr_zero(bits)));
+            for (uint64_t bits = labels_[s * 4 + w]; bits; bits &= bits - 1)
+                matching[static_cast<size_t>(w) * 64 +
+                         static_cast<size_t>(std::countr_zero(bits))]
+                    .push_back(s);
         }
-    };
-    fixed_step_xadj_.assign(257, 0);
-    fixed_report_xadj_.assign(257, 0);
-    for (StateId s : fixed_) {
-        const bool steps = succ_xadj_[s + 1] > succ_xadj_[s];
-        const bool reports = report_info_[s] & 1;
-        forEachByte(s, [&](size_t c) {
-            fixed_step_xadj_[c + 1] += steps ? 1 : 0;
-            fixed_report_xadj_[c + 1] += reports ? 1 : 0;
-        });
     }
+    std::map<std::vector<StateId>, uint16_t> class_of{{{}, 0}};
+    std::vector<const std::vector<StateId> *> members{
+        &class_of.begin()->first};
     for (size_t c = 0; c < 256; ++c) {
-        fixed_step_xadj_[c + 1] += fixed_step_xadj_[c];
-        fixed_report_xadj_[c + 1] += fixed_report_xadj_[c];
-    }
-    fixed_step_.resize(fixed_step_xadj_.back());
-    fixed_report_.resize(fixed_report_xadj_.back());
-    std::vector<uint32_t> step_fill(fixed_step_xadj_.begin(),
-                                    fixed_step_xadj_.end() - 1);
-    std::vector<uint32_t> report_fill(fixed_report_xadj_.begin(),
-                                      fixed_report_xadj_.end() - 1);
-    for (StateId s : fixed_) {
-        const bool steps = succ_xadj_[s + 1] > succ_xadj_[s];
-        const bool reports = report_info_[s] & 1;
-        forEachByte(s, [&](size_t c) {
-            if (steps)
-                fixed_step_[step_fill[c]++] = s;
-            if (reports)
-                fixed_report_[report_fill[c]++] = s;
-        });
+        const auto [it, fresh] = class_of.emplace(
+            std::move(matching[c]), static_cast<uint16_t>(class_of.size()));
+        byte_class_[c] = it->second;
+        if (fresh)
+            members.push_back(&it->first);
     }
 
-    if (!dense_available_)
-        return;
-    // Dense masks, built in a scratch image that is left clear after
-    // each use: first the re-entrant starts' words.
-    std::vector<uint64_t> image(
-        static_cast<size_t>(dense_partitions_) * kWordsPerPartition, 0);
-    for (StateId s : reentrant_) {
-        const uint32_t di = dense_index_of_[s];
-        image[di >> 6] |= uint64_t{1} << (di & 63);
-    }
-    for (size_t w = 0; w < image.size(); ++w) {
-        if (image[w])
-            dense_reentrant_words_.emplace_back(static_cast<uint32_t>(w),
-                                                image[w]);
-        image[w] = 0;
-    }
-    // Then each byte's successor image: set the bits of its stepping
-    // fixed starts' successors, emit the words they touched, clear them.
-    fixed_dense_xadj_.assign(257, 0);
+    // Each class's image, accumulated in a scratch bit image over the
+    // targets' dense indices (state ids without a dense kernel) and in
+    // scratch score arrays (one per semiring, weighted automata only),
+    // then emitted in that order and cleared word by word.
+    const bool dense = dense_available_;
+    const size_t keys = dense ? state_of_dense_.size() : num_states_;
+    auto key = [&](StateId t) { return dense ? dense_index_of_[t] : t; };
+    const size_t semirings = scored_ ? image_score_.size() : 0;
+    std::array<std::vector<Score>, 2> acc;
+    for (size_t r = 0; r < semirings; ++r)
+        acc[r].assign(keys, 0);
+    std::vector<uint64_t> image((keys + 63) / 64, 0);
     std::vector<uint32_t> touched;
-    for (size_t c = 0; c < 256; ++c) {
-        for (uint32_t k = fixed_step_xadj_[c]; k < fixed_step_xadj_[c + 1];
-             ++k) {
-            const StateId s = fixed_step_[k];
-            for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e) {
-                const uint32_t di = dense_index_of_[succ_[e]];
-                if (!image[di >> 6])
-                    touched.push_back(di >> 6);
-                image[di >> 6] |= uint64_t{1} << (di & 63);
-            }
+    auto weight = [&](const std::vector<Weight> &w, size_t i) {
+        return scored_ ? static_cast<Score>(w[i]) : 0;
+    };
+    auto enable = [&](StateId t, Score cand) {
+        const uint32_t k = key(t);
+        uint64_t &word = image[k >> 6];
+        const bool seen = (word >> (k & 63)) & 1;
+        for (size_t r = 0; r < semirings; ++r)
+            acc[r][k] = seen ? scoreCombine(static_cast<ScoreSemiring>(r),
+                                            acc[r][k], cand)
+                             : cand;
+        if (!word)
+            touched.push_back(k >> 6);
+        word |= uint64_t{1} << (k & 63);
+    };
+    class_begin_.emplace_back();
+    for (const std::vector<StateId> *set : members) {
+        for (StateId s : *set) {
+            if (report_info_[s] & 1)
+                class_report_.emplace_back(s, weight(start_w_, s));
+            for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e)
+                enable(succ_[e], weight(start_w_, s) + weight(succ_w_, e));
         }
+        // A re-entrant start competes with any incoming path at its
+        // start weight (a fresh local alignment).
+        for (StateId s : reentrant_)
+            enable(s, weight(start_w_, s));
+        std::sort(touched.begin(), touched.end());
         for (uint32_t w : touched) {
-            fixed_dense_.emplace_back(w, image[w]);
+            if (dense)
+                image_word_.emplace_back(w, image[w]);
+            for (uint64_t bits = image[w]; bits; bits &= bits - 1) {
+                const uint32_t k = w * 64 +
+                    static_cast<uint32_t>(std::countr_zero(bits));
+                image_state_.push_back(dense ? state_of_dense_[k] : k);
+                if (dense)
+                    image_dense_.push_back(k);
+                for (size_t r = 0; r < semirings; ++r)
+                    image_score_[r].push_back(acc[r][k]);
+            }
             image[w] = 0;
         }
         touched.clear();
-        fixed_dense_xadj_[c + 1] = static_cast<uint32_t>(fixed_dense_.size());
-    }
-    if (scored_)
-        buildScoreImage();
-}
-
-void
-MatchContext::buildScoreImage()
-{
-    // Each class's image, accumulated in scratch score arrays (one per
-    // semiring) over the dense targets, then emitted in ascending target
-    // order and cleared. Bytes with the same stepping fixed starts map
-    // to one class and share its list, so there are as many lists as
-    // distinct per-byte behaviours, not 256 (a DNA automaton has five).
-    constexpr ScoreSemiring kSemirings[] = {ScoreSemiring::MaxPlus,
-                                            ScoreSemiring::MinPlus};
-    const size_t bits = state_of_dense_.size();
-    std::array<std::vector<Score>, 2> acc;
-    for (auto &a : acc)
-        a.assign(bits, 0);
-    std::vector<uint8_t> seen(bits, 0);
-    std::vector<uint32_t> touched;
-    auto enable = [&](uint32_t ti, Score cand) {
-        for (ScoreSemiring sr : kSemirings) {
-            Score &a = acc[static_cast<size_t>(sr)][ti];
-            a = seen[ti] ? scoreCombine(sr, a, cand) : cand;
-        }
-        if (!seen[ti])
-            touched.push_back(ti);
-        seen[ti] = 1;
-    };
-
-    std::map<std::vector<StateId>, uint8_t> class_of;
-    image_xadj_.assign(1, 0);
-    for (size_t c = 0; c < 256; ++c) {
-        std::vector<StateId> stepping(
-            fixed_step_.begin() + fixed_step_xadj_[c],
-            fixed_step_.begin() + fixed_step_xadj_[c + 1]);
-        const auto [it, fresh] = class_of.emplace(
-            std::move(stepping), static_cast<uint8_t>(class_of.size()));
-        byte_class_[c] = it->second;
-        if (!fresh)
-            continue;
-        for (StateId s : it->first)
-            for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e)
-                enable(dense_index_of_[succ_[e]],
-                       static_cast<Score>(start_w_[s]) +
-                           static_cast<Score>(succ_w_[e]));
-        for (StateId s : reentrant_)
-            enable(dense_index_of_[s], static_cast<Score>(start_w_[s]));
-        std::sort(touched.begin(), touched.end());
-        for (uint32_t ti : touched) {
-            image_target_.push_back(ti);
-            for (ScoreSemiring sr : kSemirings)
-                image_score_[static_cast<size_t>(sr)].push_back(
-                    acc[static_cast<size_t>(sr)][ti]);
-            seen[ti] = 0;
-        }
-        touched.clear();
-        image_xadj_.push_back(static_cast<uint32_t>(image_target_.size()));
+        class_begin_.push_back(
+            {static_cast<uint32_t>(class_report_.size()),
+             static_cast<uint32_t>(image_state_.size()),
+             static_cast<uint32_t>(image_word_.size())});
     }
 }
 
@@ -530,8 +476,7 @@ MatchEngine::setState(const std::vector<StateId> &frontier,
     density_seeded_ = false;
     offset_ = offset;
     reports_.clear();
-    cycle_report_scratch_.clear();
-    cycle_report_scored_.clear();
+    cycle_reports_.clear();
 }
 
 bool
@@ -667,7 +612,7 @@ MatchEngine::sampleDensity(double mean_frontier)
     // Sample the *enabled frontier*, not the matched count: the sparse
     // kernel's per-symbol cost is one label test per enabled state. The
     // fixed starts are left out, because both kernels serve them from
-    // the same per-byte tables at the same cost.
+    // the same start image at the same cost.
     const size_t n = ctx_->numStates();
     if (n == 0)
         return;
@@ -756,42 +701,24 @@ MatchEngine::syncSparseFromDense()
 size_t
 MatchEngine::emitCycleReports()
 {
-    const size_t fired = cycle_report_scratch_.size();
+    const size_t fired = cycle_reports_.size();
     if (fired == 0)
         return 0;
     // Canonical within-cycle order: ascending state id (shared with the
-    // CPU oracle and both kernels — bit-identical report streams).
-    std::sort(cycle_report_scratch_.begin(), cycle_report_scratch_.end());
-    if (collect_) {
-        for (StateId s : cycle_report_scratch_)
-            reports_.push_back(Report{
-                offset_,
-                static_cast<uint32_t>(ctx_->report_info_[s] >> 1), s});
-    }
-    cycle_report_scratch_.clear();
-    return fired;
-}
-
-size_t
-MatchEngine::emitCycleReportsScored()
-{
-    const size_t fired = cycle_report_scored_.size();
-    if (fired == 0)
-        return 0;
-    // Same canonical ascending-state order as the unscored path; the
+    // CPU oracle and both kernels — bit-identical report streams). The
     // score rides along as the report payload.
-    std::sort(cycle_report_scored_.begin(), cycle_report_scored_.end(),
+    std::sort(cycle_reports_.begin(), cycle_reports_.end(),
               [](const auto &a, const auto &b) {
                   return a.first < b.first;
               });
     if (collect_) {
-        for (const auto &[s, score] : cycle_report_scored_)
+        for (const auto &[s, score] : cycle_reports_)
             reports_.push_back(Report{
                 offset_,
                 static_cast<uint32_t>(ctx_->report_info_[s] >> 1), s,
                 score});
     }
-    cycle_report_scored_.clear();
+    cycle_reports_.clear();
     return fired;
 }
 

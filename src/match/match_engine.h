@@ -49,16 +49,16 @@ namespace ca {
  *    SPM, Protomata-class).
  *  - Auto: per-block selection on an EWMA of the non-start frontier's
  *    density (enabled states ÷ total states, not counting the fixed
- *    starts). Both kernels serve the fixed starts — all-input starts
- *    with no in-edge — from the same per-byte tables, so only the rest
- *    of the frontier separates their costs.
+ *    starts). Both kernels seed each next frontier from the same
+ *    per-class start image (MatchContext), so only the rest of the
+ *    frontier separates their costs.
  *
  * All kernels are bit-identical: same report stream, same activity
  * counters (enforced against the CPU oracle by tests/kernel_test.cpp).
  * The CA_SIM_KERNEL environment variable ("sparse"/"dense"/"auto"),
  * when set, overrides the option for the simulator and for every
- * StreamServer engine — CI uses it to run the whole sim suite under
- * every kernel.
+ * StreamServer engine — CI uses it to run the `sim` and `runtime`
+ * ctest labels under each kernel.
  */
 enum class SimKernel : uint8_t
 {
@@ -75,7 +75,7 @@ const char *kernelName(SimKernel k);
 
 /**
  * The $CA_SIM_KERNEL override, parsed once per process (CI uses it to
- * run the whole sim suite under every kernel). Unrecognized values warn
+ * run `ctest -L "sim|runtime"` under each kernel). Unrecognized values warn
  * once and fall back to Auto — a typo in a CI matrix must be loud, but
  * pinning the run to a kernel that doesn't exist would be worse.
  * Returns nullopt only when the variable is unset/empty.
@@ -140,9 +140,10 @@ struct MatchOptions
      * Auto: run the dense kernel while the EWMA of the non-start
      * frontier's density (enabled states other than the fixed starts ÷
      * total states) is at least this, so 0 pins dense and anything
-     * above 1 pins sparse. The default is the measured crossover
-     * (bench_kernel_comparison, MatchEngine timings: sparse wins every
-     * suite row at or below ~0.002, dense every row from ~0.003).
+     * above 1 pins sparse. The default is the crossover measured when
+     * it was set (bench_kernel_comparison, MatchEngine timings: sparse
+     * won every suite row at or below ~0.002, dense every row from
+     * ~0.003); EXPERIMENTS.md has the current sweep.
      */
     double autoDensityThreshold = 0.003;
     /** Auto: EWMA smoothing factor for per-block density samples. */
@@ -165,24 +166,28 @@ struct MatchOptions
 /**
  * Immutable per-automaton tables shared by every MatchEngine bound to
  * the same mapped automaton, plus the two frontier sets the speculative
- * chunk-parallel matcher needs. Among the tables are the fixed starts'
- * per-byte effects: an all-input start with no in-edge is enabled
- * before every symbol at its start weight and by nothing else, so what
- * it contributes to a step depends on the input byte alone (the
- * hardware's constant all-input mask, §2.2). For each byte the context
- * lists which fixed starts report and which step (their successors
- * carry startWeight + edge weight), and the successors as dense (word,
- * mask) pairs.
+ * chunk-parallel matcher needs.
+ *
+ * Among the tables is the starts' image, the software form of the
+ * hardware's constant all-input mask (§2.2). A fixed start (an
+ * all-input start with no in-edge) is enabled before every symbol at
+ * its start weight and by nothing else, so what it contributes to a
+ * step depends on the input byte alone. A byte's class is the set of
+ * fixed starts its label bits match; class 0 is the empty set. Each
+ * class lists its reporting fixed starts (at their start weights) and
+ * its targets: the stepping fixed starts' successors and the
+ * re-entrant starts (all-input starts with an in-edge). A target is
+ * held as a state id, as a dense index and in the class's dense (word,
+ * mask) pairs; on a weighted automaton it also carries its ⊕-combined
+ * score (startWeight + edge weight, or startWeight), one list per
+ * semiring. Every kernel starts the next frontier as the byte class's
+ * image and puts the frontier's matched edges on top.
  *
  * The dense step's successor tables depend on whether the automaton is
  * weighted. An unweighted one gets the hardware's split: L-switch rows
  * (intra-partition successor masks) and a G-switch CSR of cross-
  * partition edges. A weighted one gets one struct-of-arrays CSR over
- * the source's dense index (target bit, then edge weight), plus the
- * fixed starts' constant next-score image: per byte class (bytes whose
- * stepping fixed starts are the same), each target the fixed starts and
- * re-entrant starts enable and its ⊕-combined score, one score list per
- * semiring.
+ * the source's dense index (target bit, then edge weight).
  *
  *  - startFrontier(): the exact offset-0 frontier (StartOfData and
  *    AllInput start states).
@@ -233,7 +238,7 @@ class MatchContext
 
     /**
      * The fixed starts, sorted: all-input starts with no in-edge. The
-     * kernels serve them from per-byte tables rather than the frontier;
+     * kernels serve them from the start image rather than the frontier;
      * frontier() and checkpoint() still list them.
      */
     const std::vector<StateId> &fixedStarts() const { return fixed_; }
@@ -246,7 +251,6 @@ class MatchContext
     void buildSparseTables();
     void buildDenseTables();
     void buildStartTables();
-    void buildScoreImage();
     void buildFrontiers();
 
     /** Keeps a loaded automaton alive; null when bound by reference. */
@@ -298,37 +302,31 @@ class MatchContext
     std::vector<Weight> dense_succ_w_;
     /** Per-partition reporting mask (p*4+w). */
     std::vector<uint64_t> dense_report_;
-    /** Non-zero words of the re-entrant starts' mask, OR-ed in each cycle. */
-    std::vector<std::pair<uint32_t, uint64_t>> dense_reentrant_words_;
 
-    // Fixed-start tables: CSRs over the input byte (257 offsets each).
-    /** Fixed starts that match byte c and report, ascending. */
-    std::vector<uint32_t> fixed_report_xadj_;
-    std::vector<StateId> fixed_report_;
+    // The starts' image per byte class. Class ids take 9 bits: up to 256
+    // non-empty classes plus the empty class 0.
+    std::array<uint16_t, 256> byte_class_{};
+    /** Where class k's runs begin in each list; entry k + 1 ends them. */
+    struct ClassBegin
+    {
+        uint32_t report = 0;
+        uint32_t target = 0;
+        uint32_t word = 0;
+    };
+    std::vector<ClassBegin> class_begin_;
+    /** Reporting fixed starts, ascending, with their start weights. */
+    std::vector<std::pair<StateId, Score>> class_report_;
     /**
-     * Fixed starts that match byte c and have successors, ascending:
-     * the kernels walk their successor lists (edge weights included).
-     * One entry per label byte, not per label byte and edge, keeps a
-     * wide-label start from multiplying its out-degree by 256.
+     * Targets in dense order (state order without a dense kernel), as
+     * state ids and dense indices, with their ⊕-combined scores on
+     * weighted automata (one list per semiring, indexed by
+     * ScoreSemiring).
      */
-    std::vector<uint32_t> fixed_step_xadj_;
-    std::vector<StateId> fixed_step_;
-    /** Byte c's fixed-start successors as dense (word, mask) pairs. */
-    std::vector<uint32_t> fixed_dense_xadj_;
-    std::vector<std::pair<uint32_t, uint64_t>> fixed_dense_;
-    /**
-     * Weighted automata: the next-score image the starts give byte c,
-     * at image_xadj_[byte_class_[c]]. Each entry is a dense target (a
-     * fixed start's successor, at startWeight + edge weight, or a
-     * re-entrant start, at startWeight) with its scores ⊕-combined per
-     * target; one score list per semiring, indexed by ScoreSemiring.
-     * Its targets are exactly the bits of byte c's fixed (word, mask)
-     * pairs and the re-entrant words.
-     */
-    std::array<uint8_t, 256> byte_class_{};
-    std::vector<uint32_t> image_xadj_;
-    std::vector<uint32_t> image_target_;
+    std::vector<StateId> image_state_;
+    std::vector<uint32_t> image_dense_;
     std::array<std::vector<Score>, 2> image_score_;
+    /** The targets as dense (word, mask) pairs, ascending by word. */
+    std::vector<std::pair<uint32_t, uint64_t>> image_word_;
 
     // Precomputed frontier sets (sorted, deduplicated).
     std::vector<StateId> start_frontier_;
@@ -362,7 +360,8 @@ struct NullObserver
     /** Sparse kernel: state @p s matched the symbol. */
     void sparseMatch(StateId /*s*/) {}
     /**
-     * The fixed starts are enabled for this symbol, whose byte is @p c.
+     * The fixed starts are enabled for this symbol, whose byte is @p c:
+     * the step serves them from byte c's class in the start image.
      * Called before the frontier hooks; the frontier hooks then see
      * every other enabled state.
      */
@@ -388,11 +387,11 @@ struct NullObserver
  * the reporting state, and within one symbol reports are emitted in
  * ascending state-id order.
  *
- * On a weighted automaton the dense step starts each symbol's next
- * frontier from the byte's start image, bits and scores both, then
- * relaxes every matched state's weighted edges into it. A target's
- * next-frontier bit tells its first score from a ⊕, so the score
- * vectors are never cleared.
+ * Every kernel takes one step shape: the next frontier starts as the
+ * byte class's start image (bits, and scores on a weighted automaton),
+ * and the frontier's matched edges go on top, scores ⊕-combined. The
+ * symbol's reports, the frontier's and the class's, go through one
+ * (state, score) buffer, with score 0 on an unweighted automaton.
  */
 class MatchEngine
 {
@@ -477,22 +476,17 @@ class MatchEngine
     template <class Obs>
     void runKernel(bool dense, const uint8_t *data, size_t size, Obs &obs);
     /** Steppers, instantiated scored/unscored at compile time (the
-        Scored=false bodies are the exact unweighted kernels). */
+        Scored=false bodies carry no score state). */
     template <bool Scored, class Obs>
     void feedSparseImpl(const uint8_t *data, size_t size, Obs &obs);
     template <bool Scored, class Obs>
     void feedDenseImpl(const uint8_t *data, size_t size, Obs &obs);
 
-    /** Queues the reports of the fixed starts that match byte @p c. */
-    template <bool Scored>
-    void gatherFixedReports(uint8_t c);
     /**
      * Emits the symbol's reports in canonical (ascending state id)
      * order when collecting; returns how many states fired.
      */
     size_t emitCycleReports();
-    /** Scored twin of emitCycleReports (same order, score payloads). */
-    size_t emitCycleReportsScored();
     /** True when the next block should run the dense kernel. */
     bool chooseDense();
     /** Moves the live frontier between representations. */
@@ -519,10 +513,11 @@ class MatchEngine
     std::vector<StateId> enabled_;
     BitVector enabled_mask_;
     std::vector<StateId> active_scratch_;
-    /** States that fired this cycle (sorted before emission). */
-    std::vector<StateId> cycle_report_scratch_;
-    /** Scored twin: (state, score) pairs, sorted by state. */
-    std::vector<std::pair<StateId, Score>> cycle_report_scored_;
+    /**
+     * (state, score) pairs that fired this cycle, sorted by state
+     * before emission; scores are 0 on an unweighted automaton.
+     */
+    std::vector<std::pair<StateId, Score>> cycle_reports_;
 
     // Dense frontier representation.
     BitVector dense_cur_;
@@ -531,10 +526,11 @@ class MatchEngine
 
     /**
      * The fixed starts are enabled at their start weights and held in
-     * neither representation; the kernels apply the byte's tables. False
-     * only until the first symbol after setState() loaded a frontier
-     * lacking one of them (or carrying a different score), whose fixed
-     * starts then sit in the frontier like any other state.
+     * neither representation; the kernels serve them from the byte's
+     * class. False only until the first symbol after setState() loaded
+     * a frontier lacking one of them (or carrying a different score):
+     * that symbol takes the empty class 0, and its fixed starts sit in
+     * the frontier like any other state.
      */
     bool fixed_live_ = false;
 

@@ -18,8 +18,10 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "telemetry/runtime.h"
@@ -77,41 +79,39 @@ class TraceCollector
 
 /**
  * RAII span: records [construction, destruction) into the global
- * collector when telemetry is runtime-enabled at construction. When
- * disabled the constructor is a single branch.
+ * collector when telemetry is runtime-enabled at construction. The name
+ * and category stay pointers until record(), so a disabled span is the
+ * enabled() test and four word stores: no string is built.
  */
 class ScopedTimer
 {
   public:
     /** Literal-name spans: no allocation happens when disabled. */
     explicit ScopedTimer(const char *name, const char *category = "ca")
-        : active_(enabled())
+        : name_(enabled() ? name : nullptr), category_(category)
     {
-        if (active_) {
-            name_ = name;
-            category_ = category;
+        if (name_)
             start_us_ = TraceCollector::global().nowMicros();
-        }
     }
 
     /** Dynamic-name spans (cold paths: per-benchmark labels). */
     explicit ScopedTimer(std::string name, std::string category)
-        : active_(enabled())
+        : ScopedTimer("", "")
     {
-        if (active_) {
-            name_ = std::move(name);
-            category_ = std::move(category);
-            start_us_ = TraceCollector::global().nowMicros();
+        if (name_) {
+            owned_ = std::make_unique<const Names>(std::move(name),
+                                                   std::move(category));
+            name_ = owned_->first.c_str();
+            category_ = owned_->second.c_str();
         }
     }
 
     ~ScopedTimer()
     {
-        if (active_) {
+        if (name_) {
             TraceCollector &tc = TraceCollector::global();
             uint64_t now = tc.nowMicros();
-            tc.record(std::move(name_), std::move(category_), start_us_,
-                      now - start_us_);
+            tc.record(name_, category_, start_us_, now - start_us_);
         }
     }
 
@@ -119,10 +119,14 @@ class ScopedTimer
     ScopedTimer &operator=(const ScopedTimer &) = delete;
 
   private:
-    bool active_;
-    std::string name_;
-    std::string category_;
+    using Names = std::pair<std::string, std::string>;
+
+    /** Null when the span is disabled. */
+    const char *name_;
+    const char *category_;
     uint64_t start_us_ = 0;
+    /** A dynamic-name span's name and category, which the pointers view. */
+    std::unique_ptr<const Names> owned_;
 };
 
 } // namespace ca::telemetry

@@ -27,6 +27,11 @@
  *    every cut;
  *  - an arbitrary frontier loaded with setState(), some all-input
  *    starts missing or off their start weight, against that reference.
+ *
+ * A second test fills the kernels' byte → start-class map: one fixed
+ * start per byte value gives 256 non-empty classes beside the empty
+ * class, so class ids that fit in 8 bits serve some byte the wrong
+ * image.
  */
 #include <gtest/gtest.h>
 
@@ -485,6 +490,130 @@ TEST_P(Differential, EveryEngineMatchesTheOracle)
 
 INSTANTIATE_TEST_SUITE_P(RandomAutomata, Differential,
                          ::testing::Range(0, 24));
+
+/**
+ * 256 fixed starts, fixed start b matching byte b alone (every third
+ * one, and the last, reporting), each stepping into one of eight inner
+ * states over wide random ranges. One inner state is a re-entrant
+ * all-input start; the inner states report at random and feed it.
+ */
+Nfa
+fullClassMapNfa(Rng &rng, bool weighted)
+{
+    Nfa nfa;
+    auto start_weight = [&](StateId s) {
+        if (weighted)
+            nfa.state(s).startWeight = static_cast<Weight>(rng.range(-3, 3));
+    };
+    for (int b = 0; b < 256; ++b)
+        start_weight(nfa.addState(SymbolSet::of(static_cast<uint8_t>(b)),
+                                  StartType::AllInput,
+                                  b % 3 == 0 || b == 255,
+                                  static_cast<uint32_t>(b % 4)));
+    const StateId inner = 256;
+    constexpr StateId kInner = 8;
+    for (StateId k = 0; k < kInner; ++k) {
+        const uint8_t lo = rng.byte();
+        const uint8_t hi = static_cast<uint8_t>(
+            std::min<uint64_t>(255, lo + 32 + rng.below(160)));
+        nfa.addState(SymbolSet::range(lo, hi),
+                     k == 0 ? StartType::AllInput : StartType::None,
+                     rng.chance(0.5), static_cast<uint32_t>(rng.below(4)));
+    }
+    start_weight(inner);
+    auto edge = [&](StateId from, StateId to) {
+        if (weighted)
+            nfa.addTransition(from, to,
+                              static_cast<Weight>(rng.range(-5, 7)));
+        else
+            nfa.addTransition(from, to);
+    };
+    for (StateId b = 0; b < 256; ++b)
+        edge(b, inner + b % kInner);
+    for (StateId k = 0; k < kInner; ++k) {
+        edge(inner + k, inner); // the re-entrant start's in-edges
+        edge(inner + k, inner + static_cast<StateId>(rng.below(kInner)));
+    }
+    nfa.dedupeEdges();
+    return nfa;
+}
+
+TEST(DifferentialFullClassMap, EveryByteHasItsOwnStartClass)
+{
+    Rng rng(0xC1A55ull);
+    for (const bool weighted : {false, true}) {
+        Nfa built = fullClassMapNfa(rng, weighted);
+        MappedAutomaton m = weighted ? mapSpace(built)
+                                     : mapPerformance(built);
+        const Nfa &nfa = m.nfa();
+        auto ctx = std::make_shared<const MatchContext>(m);
+        ASSERT_EQ(ctx->fixedStarts().size(), 256u);
+        std::vector<uint8_t> input(3000);
+        for (uint8_t &b : input)
+            b = rng.byte();
+        input[input.size() / 2] = 255;
+
+        std::vector<ScoreSemiring> semirings = {ScoreSemiring::MaxPlus};
+        if (weighted)
+            semirings.push_back(ScoreSemiring::MinPlus);
+        for (ScoreSemiring sr : semirings) {
+            SCOPED_TRACE(testing::Message()
+                         << (weighted ? "weighted, " : "unweighted, ")
+                         << semiringName(sr));
+            NfaEngine oracle(nfa, sr);
+            const std::vector<Report> expect = oracle.run(input);
+            ASSERT_FALSE(expect.empty());
+            auto options = [&](SimKernel k) {
+                MatchOptions o;
+                o.kernel = k;
+                o.semiring = sr;
+                o.autoBlockSymbols = 64;
+                return o;
+            };
+            for (SimKernel k : kKernels) {
+                MatchEngine eng(ctx, options(k));
+                eng.feed(input.data(), input.size());
+                EXPECT_EQ(eng.takeReports(), expect) << kernelName(k);
+                EXPECT_EQ(eng.frontier(), oracle.frontier()) << kernelName(k);
+                SimOptions so;
+                static_cast<MatchOptions &>(so) = options(k);
+                EXPECT_EQ(CacheAutomatonSim(m, so).run(input).reports, expect)
+                    << kernelName(k);
+            }
+
+            // The frontier at a cut, loaded without the fixed start of
+            // the next byte (255), so the first symbol takes the empty
+            // class.
+            const size_t cut = input.size() / 2;
+            oracle.reset();
+            for (size_t i = 0; i < cut; ++i)
+                oracle.step(input[i]);
+            std::vector<StateId> loaded;
+            std::vector<Score> loaded_scores;
+            for (StateId s : oracle.frontier()) {
+                if (nfa.state(s).start == StartType::AllInput &&
+                    nfa.state(s).label == SymbolSet::of(input[cut]))
+                    continue;
+                loaded.push_back(s);
+                loaded_scores.push_back(oracle.stateScore(s));
+            }
+            ASSERT_EQ(loaded.size() + 1, oracle.frontier().size());
+            const std::vector<uint8_t> tail(input.begin() + cut, input.end());
+            const Reference ref =
+                referenceRun(m, sr, loaded, loaded_scores, cut, tail);
+            for (SimKernel k : kKernels) {
+                MatchEngine eng(ctx, options(k));
+                eng.setState(loaded, loaded_scores, cut);
+                eng.feed(tail.data(), tail.size());
+                EXPECT_EQ(eng.takeReports(), ref.reports) << kernelName(k);
+                EXPECT_EQ(eng.frontier(), ref.frontier) << kernelName(k);
+                EXPECT_EQ(eng.frontierScores(),
+                          weighted ? ref.scores : std::vector<Score>{})
+                    << kernelName(k);
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace ca
