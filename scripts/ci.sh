@@ -22,6 +22,11 @@ echo "=== configure build-release (Release, warnings are errors) ==="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DCA_WERROR=ON
 echo "=== build build-release ==="
 cmake --build build-release -j "$JOBS"
+# The kernel suites in the build perfbench times: -O3 inlines and
+# vectorizes the steppers differently, so the oracle-equivalence tests
+# run on the optimised kernels too.
+echo "=== test build-release (sim|match) ==="
+ctest --test-dir build-release -L "sim|match" --output-on-failure -j "$JOBS"
 
 # The sim and runtime suites under each execution kernel: CA_SIM_KERNEL
 # overrides the kernel process-wide, StreamServer engines included, so

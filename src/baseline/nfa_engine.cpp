@@ -10,8 +10,8 @@ NfaEngine::NfaEngine(const Nfa &nfa, ScoreSemiring semiring)
     : nfa_(nfa), semiring_(semiring)
 {
     const size_t n = nfa.numStates();
-    enabled_mask_.assign(n, 0);
-    next_mask_.assign(n, 0);
+    enabled_flags_.assign(n, 0);
+    next_flags_.assign(n, 0);
     score_.assign(n, 0);
     next_score_.assign(n, 0);
     for (StateId s = 0; s < n; ++s)
@@ -24,12 +24,12 @@ void
 NfaEngine::reset()
 {
     for (StateId s : enabled_)
-        enabled_mask_[s] = 0;
+        enabled_flags_[s] = 0;
     enabled_.clear();
     for (StateId s = 0; s < nfa_.numStates(); ++s) {
         const NfaState &st = nfa_.state(s);
         if (st.start != StartType::None) {
-            enabled_mask_[s] = 1;
+            enabled_flags_[s] = 1;
             score_[s] = st.startWeight;
             enabled_.push_back(s);
         }
@@ -56,8 +56,8 @@ NfaEngine::step(uint8_t symbol)
         for (size_t k = 0; k < st.out.size(); ++k) {
             StateId t = st.out[k];
             Score cand = score_[s] + static_cast<Score>(nfa_.edgeWeight(s, k));
-            if (!next_mask_[t]) {
-                next_mask_[t] = 1;
+            if (!next_flags_[t]) {
+                next_flags_[t] = 1;
                 next_score_[t] = cand;
                 next_enabled_.push_back(t);
             } else {
@@ -78,8 +78,8 @@ NfaEngine::step(uint8_t symbol)
     // competes with the restart under ⊕.
     for (StateId s : all_input_starts_) {
         Score w = nfa_.state(s).startWeight;
-        if (!next_mask_[s]) {
-            next_mask_[s] = 1;
+        if (!next_flags_[s]) {
+            next_flags_[s] = 1;
             next_score_[s] = w;
             next_enabled_.push_back(s);
         } else {
@@ -90,9 +90,9 @@ NfaEngine::step(uint8_t symbol)
     // Only the bits set last cycle are cleared (a full clear would be
     // O(|Q|)); the cleared mask becomes the next cycle's scratch.
     for (StateId s : enabled_)
-        enabled_mask_[s] = 0;
+        enabled_flags_[s] = 0;
     enabled_.swap(next_enabled_);
-    enabled_mask_.swap(next_mask_);
+    enabled_flags_.swap(next_flags_);
     score_.swap(next_score_);
     ++offset_;
 }

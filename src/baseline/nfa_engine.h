@@ -92,10 +92,10 @@ class NfaEngine
     std::vector<StateId> all_input_starts_;
 
     std::vector<StateId> enabled_; ///< Frontier for the next symbol.
-    std::vector<char> enabled_mask_;
+    std::vector<char> enabled_flags_;
     std::vector<Score> score_; ///< Per-state score, valid where enabled.
     std::vector<StateId> next_enabled_;
-    std::vector<char> next_mask_;
+    std::vector<char> next_flags_;
     std::vector<Score> next_score_;
     std::vector<StateId> report_scratch_; ///< Reporting states, per cycle.
     std::vector<Report> reports_;

@@ -9,7 +9,10 @@
  * byte's class (MatchContext), the frontier's matched edges go on top,
  * and the symbol's reports go through one (state, score) buffer. The
  * fixed starts decide only the class (the empty class 0 until they are
- * live) and the observer's fixedStarts() call.
+ * live) and the observer's fixedStarts() call. Both step the engine's
+ * one frontier bitvector and score pair over the context's tables, all
+ * indexed by slot; only the unweighted dense step reads the L-switch
+ * rows and G-switch CSR in place of the successor CSR.
  *
  * Included by match_engine.cpp, which instantiates them with
  * NullObserver, and by the simulator, which instantiates them with its
@@ -49,10 +52,11 @@ MatchEngine::feed(const uint8_t *data, size_t size, Obs &obs)
         countBlock(use_dense, block);
         obs.block(use_dense, block);
 
-        if (use_dense && !dense_active_)
-            syncDenseFromSparse();
-        else if (!use_dense && dense_active_)
-            syncSparseFromDense();
+        // Both kernels step cur_; only the sparse one needs its worklist.
+        if (use_dense)
+            dense_active_ = true;
+        else if (dense_active_)
+            rebuildWorklist();
 
         double mean_frontier = 0.0;
         if (frontierSize() == 0 && ctx_->all_input_.empty()) {
@@ -111,37 +115,40 @@ template <bool Scored, class Obs>
 MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
 {
     const MatchContext &cx = *ctx_;
-    const uint64_t *labels = cx.labels_.data();
-    const uint64_t *report_info = cx.report_info_.data();
+    const size_t words = cx.slot_words_;
+    const uint64_t *rep_mask = cx.report_mask_.data();
     const uint32_t *succ_xadj = cx.succ_xadj_.data();
-    const StateId *succ = cx.succ_.data();
-    const StateId *image_state = cx.image_state_.data();
+    const uint32_t *succ = cx.succ_.data();
+    const uint32_t *image_slot = cx.image_slot_.data();
     const Score *image_score =
         cx.image_score_[static_cast<size_t>(opts_.semiring)].data();
     const bool gather_reports = collect_ || Obs::kCountsReports;
     bool fixed = fixed_live_;
+    auto test = [](const uint64_t *bits, uint32_t k) {
+        return (bits[k >> 6] >> (k & 63)) & 1;
+    };
 
     for (size_t i = 0; i < size; ++i) {
         uint8_t c = data[i];
-        const uint64_t label_bit = uint64_t{1} << (c & 63);
-        const size_t label_word = c >> 6;
+        const uint64_t *row = cx.rows_.data() + static_cast<size_t>(c) * words;
         const uint16_t cls = fixed ? cx.byte_class_[c] : 0;
         const MatchContext::ClassBegin &run = cx.class_begin_[cls];
         const MatchContext::ClassBegin &run_end = cx.class_begin_[cls + 1];
 
-        // State-match phase: the frontier's states, then the class's
-        // reporting fixed starts.
+        // State-match phase: the frontier's slots, each one bit of the
+        // symbol's row, then the class's reporting fixed starts.
         if (fixed)
             obs.fixedStarts(c);
         obs.sparseFrontier(enabled_);
         active_scratch_.clear();
-        for (StateId s : enabled_) {
-            if (!(labels[s * 4 + label_word] & label_bit))
+        for (uint32_t k : enabled_) {
+            if (!test(row, k))
                 continue;
-            active_scratch_.push_back(s);
-            obs.sparseMatch(s);
-            if (gather_reports && (report_info[s] & 1))
-                cycle_reports_.emplace_back(s, Scored ? score_cur_[s] : 0);
+            active_scratch_.push_back(k);
+            obs.sparseMatch(k);
+            if (gather_reports && test(rep_mask, k))
+                cycle_reports_.emplace_back(cx.state_of_slot_[k],
+                                            Scored ? score_cur_[k] : 0);
         }
         if (gather_reports) {
             for (uint32_t k = run.report; k < run_end.report; ++k)
@@ -150,14 +157,15 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
         obs.symbolEnd(offset_, emitCycleReports());
 
         // State-transition phase. Clear only the bits set last cycle (the
-        // mask is as wide as the NFA; a full clear would dominate).
-        for (StateId s : enabled_)
-            enabled_mask_.resetUnchecked(s);
+        // frontier is as wide as the slot space; a full clear would
+        // dominate).
+        for (uint32_t k : enabled_)
+            cur_.resetUnchecked(k);
         enabled_.clear();
         // Enables t; scored runs ⊕ the candidate score into it.
-        auto enable = [&](StateId t, [[maybe_unused]] Score cand) {
-            if (!enabled_mask_.testUnchecked(t)) {
-                enabled_mask_.setUnchecked(t);
+        auto enable = [&](uint32_t t, [[maybe_unused]] Score cand) {
+            if (!cur_.testUnchecked(t)) {
+                cur_.setUnchecked(t);
                 enabled_.push_back(t);
                 if constexpr (Scored)
                     score_nxt_[t] = cand;
@@ -168,13 +176,13 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
         };
         // The next frontier starts as the class's image.
         for (uint32_t k = run.target; k < run_end.target; ++k)
-            enable(image_state[k], Scored ? image_score[k] : 0);
-        for (StateId s : active_scratch_) {
-            uint32_t end = succ_xadj[s + 1];
-            for (uint32_t e = succ_xadj[s]; e < end; ++e) {
+            enable(image_slot[k], Scored ? image_score[k] : 0);
+        for (uint32_t k : active_scratch_) {
+            const uint32_t end = succ_xadj[k + 1];
+            for (uint32_t e = succ_xadj[k]; e < end; ++e) {
                 Score cand = 0; // ⊗ along the edge
                 if constexpr (Scored)
-                    cand = score_cur_[s] + static_cast<Score>(cx.succ_w_[e]);
+                    cand = score_cur_[k] + static_cast<Score>(cx.succ_w_[e]);
                 enable(succ[e], cand);
             }
         }
@@ -193,23 +201,23 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
 {
     const MatchContext &cx = *ctx_;
     const uint32_t P = cx.dense_partitions_;
-    const size_t words = static_cast<size_t>(P) * kWordsPerPartition;
-    uint64_t *cur = dense_cur_.raw().data();
-    uint64_t *nxt = dense_nxt_.raw().data();
-    const uint64_t *rep_mask = cx.dense_report_.data();
-    const uint64_t *lswitch = cx.dense_lswitch_.data();
+    const size_t words = cx.slot_words_;
+    uint64_t *cur = cur_.raw().data();
+    uint64_t *nxt = nxt_.raw().data();
+    const uint64_t *rep_mask = cx.report_mask_.data();
+    const uint64_t *lswitch = cx.lswitch_.data();
     const bool gather_reports = collect_ || Obs::kCountsReports;
     // Scored runs keep the word-parallel row read for matching and
-    // relax each matched state's weighted edges, flat over the dense
+    // relax each matched state's weighted edges, flat over the slot
     // CSR. A target's nxt bit tells its first write this symbol from a
     // ⊕, so the score vector is never cleared.
-    Score *scur = Scored ? dense_score_cur_.data() : nullptr;
-    Score *snxt = Scored ? dense_score_nxt_.data() : nullptr;
+    Score *scur = Scored ? score_cur_.data() : nullptr;
+    Score *snxt = Scored ? score_nxt_.data() : nullptr;
     const ScoreSemiring semiring = opts_.semiring;
-    const uint32_t *dsucc_xadj = cx.dense_succ_xadj_.data();
-    const uint32_t *dsucc = cx.dense_succ_.data();
-    const Weight *dsucc_w = cx.dense_succ_w_.data();
-    const uint32_t *image_dense = cx.image_dense_.data();
+    const uint32_t *succ_xadj = cx.succ_xadj_.data();
+    const uint32_t *succ = cx.succ_.data();
+    const Weight *succ_w = cx.succ_w_.data();
+    const uint32_t *image_slot = cx.image_slot_.data();
     const Score *image_score =
         cx.image_score_[static_cast<size_t>(semiring)].data();
     bool fixed = fixed_live_;
@@ -237,7 +245,7 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
             nxt[cx.image_word_[k].first] |= cx.image_word_[k].second;
         if constexpr (Scored) {
             for (uint32_t k = run.target; k < run_end.target; ++k)
-                snxt[image_dense[k]] = image_score[k];
+                snxt[image_slot[k]] = image_score[k];
         }
         if (gather_reports) {
             for (uint32_t k = run.report; k < run_end.report; ++k)
@@ -246,8 +254,7 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
 
         if (fixed)
             obs.fixedStarts(c);
-        const uint64_t *rows = &cx.dense_rows_[static_cast<size_t>(c) *
-                                               words];
+        const uint64_t *rows = &cx.rows_[static_cast<size_t>(c) * words];
         // The frontier holds no fixed start, so a partition whose only
         // enabled states are fixed starts is skipped here.
         for (uint32_t p = 0; p < P; ++p) {
@@ -277,7 +284,7 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
                         uint32_t di = static_cast<uint32_t>(
                             (base + static_cast<size_t>(w)) * 64 +
                             static_cast<size_t>(b));
-                        cycle_reports_.emplace_back(cx.state_of_dense_[di],
+                        cycle_reports_.emplace_back(cx.state_of_slot_[di],
                                                     Scored ? scur[di] : 0);
                         rw &= rw - 1;
                     }
@@ -292,10 +299,10 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
                         static_cast<size_t>(b));
                     if constexpr (Scored) {
                         const Score from = scur[di];
-                        const uint32_t end = dsucc_xadj[di + 1];
-                        for (uint32_t e = dsucc_xadj[di]; e < end; ++e)
-                            relax(dsucc[e],
-                                  from + static_cast<Score>(dsucc_w[e]));
+                        const uint32_t end = succ_xadj[di + 1];
+                        for (uint32_t e = succ_xadj[di]; e < end; ++e)
+                            relax(succ[e],
+                                  from + static_cast<Score>(succ_w[e]));
                     } else {
                         const uint64_t *row = lswitch +
                             static_cast<size_t>(di) * kWordsPerPartition;
@@ -303,9 +310,9 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
                         nxt[base + 1] |= row[1];
                         nxt[base + 2] |= row[2];
                         nxt[base + 3] |= row[3];
-                        for (uint32_t e = cx.dense_cross_xadj_[di];
-                             e < cx.dense_cross_xadj_[di + 1]; ++e) {
-                            uint32_t ti = cx.dense_cross_[e];
+                        for (uint32_t e = cx.cross_xadj_[di];
+                             e < cx.cross_xadj_[di + 1]; ++e) {
+                            uint32_t ti = cx.cross_[e];
                             nxt[ti >> 6] |= uint64_t{1} << (ti & 63);
                         }
                     }
@@ -323,13 +330,13 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
     }
     if (size > 0)
         fixed_live_ = true;
-    // An odd symbol count leaves the live frontier in dense_nxt_'s
-    // storage; swap the vectors so dense_cur_ owns it again.
-    if (cur != dense_cur_.raw().data())
-        std::swap(dense_cur_, dense_nxt_);
+    // An odd symbol count leaves the live frontier in nxt_'s storage;
+    // swap the vectors so cur_ owns it again.
+    if (cur != cur_.raw().data())
+        std::swap(cur_, nxt_);
     if constexpr (Scored) {
-        if (scur != dense_score_cur_.data())
-            dense_score_cur_.swap(dense_score_nxt_);
+        if (scur != score_cur_.data())
+            score_cur_.swap(score_nxt_);
     }
 }
 

@@ -82,187 +82,152 @@ MatchContext::MatchContext(std::shared_ptr<const MappedAutomaton> mapped)
 MatchContext::MatchContext(const MappedAutomaton &mapped) : mapped_(mapped)
 {
     num_states_ = mapped.nfa().numStates();
-    buildSparseTables();
-    buildDenseTables();
+    buildSlots();
+    buildTables();
     buildStartTables();
     buildFrontiers();
 }
 
 void
-MatchContext::buildSparseTables()
+MatchContext::buildSlots()
 {
-    // Flatten labels, successors, and report attributes so the
-    // per-symbol loop touches dense arrays instead of NfaState objects.
-    const Nfa &nfa = mapped_.nfa();
-    labels_.resize(num_states_ * 4);
-    report_info_.resize(num_states_);
-    succ_xadj_.assign(num_states_ + 1, 0);
-    for (StateId s = 0; s < num_states_; ++s) {
-        const NfaState &st = nfa.state(s);
-        if (st.start != StartType::None)
-            start_frontier_.push_back(s);
-        if (st.start == StartType::AllInput)
-            all_input_.push_back(s);
-        const auto &words = st.label.raw();
-        for (int w = 0; w < 4; ++w)
-            labels_[s * 4 + w] = words[w];
-        report_info_[s] =
-            (static_cast<uint64_t>(st.reportId) << 1) | (st.report ? 1 : 0);
-        succ_xadj_[s + 1] =
-            succ_xadj_[s] + static_cast<uint32_t>(st.out.size());
-    }
-    succ_.resize(succ_xadj_.back());
-    for (StateId s = 0; s < num_states_; ++s) {
-        uint32_t base = succ_xadj_[s];
-        const auto &out = nfa.state(s).out;
-        for (size_t i = 0; i < out.size(); ++i)
-            succ_[base + i] = out[i];
-    }
-
-    // Weighted automata additionally flatten the edge/start weights;
-    // unweighted ones skip all of it and run the unscored kernels.
-    scored_ = nfa.hasWeights();
-    if (scored_) {
-        succ_w_.assign(succ_.size(), 0);
-        start_w_.assign(num_states_, 0);
-        for (StateId s = 0; s < num_states_; ++s) {
-            uint32_t base = succ_xadj_[s];
-            const NfaState &st = nfa.state(s);
-            for (size_t i = 0; i < st.out.size(); ++i)
-                succ_w_[base + i] = nfa.edgeWeight(s, i);
-            start_w_[s] = st.startWeight;
+    // A state's slot is its §2.2 SRAM column, partition * 256 + column,
+    // when every state fits that geometry, and its state id otherwise.
+    const uint32_t P = static_cast<uint32_t>(mapped_.numPartitions());
+    dense_available_ = P > 0 && num_states_ > 0;
+    for (StateId s = 0; s < num_states_ && dense_available_; ++s) {
+        if (mapped_.location(s).slot >= kSlotsPerPartition) {
+            // A non-standard design geometry (partitions wider than
+            // 256 STEs) falls back to state-id slots and the sparse
+            // kernel.
+            CA_WARN("match dense kernel unavailable: state "
+                    << s << " at slot " << mapped_.location(s).slot
+                    << " exceeds " << kSlotsPerPartition);
+            dense_available_ = false;
         }
+    }
+    dense_partitions_ = dense_available_ ? P : 0;
+    const size_t slots = dense_available_
+        ? static_cast<size_t>(P) * kSlotsPerPartition
+        : num_states_;
+    slot_words_ = (slots + 63) / 64;
+    slot_of_.resize(num_states_);
+    state_of_slot_.assign(slots, kInvalidState);
+    for (StateId s = 0; s < num_states_; ++s) {
+        const SteLocation &loc = mapped_.location(s);
+        const uint32_t k = dense_available_
+            ? loc.partition * kSlotsPerPartition + loc.slot
+            : s;
+        slot_of_[s] = k;
+        state_of_slot_[k] = s;
     }
 }
 
 void
-MatchContext::buildDenseTables()
+MatchContext::buildTables()
 {
-    const uint32_t P = static_cast<uint32_t>(mapped_.numPartitions());
-    if (P == 0 || num_states_ == 0)
-        return;
+    // Flatten labels, successors, and report attributes by slot so the
+    // per-symbol loop touches flat arrays instead of NfaState objects.
+    const Nfa &nfa = mapped_.nfa();
+    const size_t slots = state_of_slot_.size();
+    const size_t words = slot_words_;
+    scored_ = nfa.hasWeights();
+    report_id_.resize(num_states_);
+    report_mask_.assign(words, 0);
+    succ_xadj_.assign(slots + 1, 0);
+    if (scored_)
+        start_w_.assign(num_states_, 0);
     for (StateId s = 0; s < num_states_; ++s) {
-        if (mapped_.location(s).slot >= kSlotsPerPartition) {
-            // Defensive: a non-standard design geometry falls back to
-            // the sparse kernel rather than corrupting masks.
-            CA_WARN("match dense kernel unavailable: state "
-                    << s << " at slot " << mapped_.location(s).slot
-                    << " exceeds " << kSlotsPerPartition);
-            return;
-        }
+        const NfaState &st = nfa.state(s);
+        const uint32_t k = slot_of_[s];
+        if (st.start != StartType::None)
+            start_frontier_.push_back(s);
+        if (st.start == StartType::AllInput)
+            all_input_.push_back(s);
+        report_id_[s] = st.reportId;
+        if (st.report)
+            report_mask_[k >> 6] |= uint64_t{1} << (k & 63);
+        if (scored_)
+            start_w_[s] = st.startWeight;
+        succ_xadj_[k + 1] = static_cast<uint32_t>(st.out.size());
     }
-    dense_partitions_ = P;
-    const size_t words = static_cast<size_t>(P) * kWordsPerPartition;
-
-    dense_index_of_.assign(num_states_, 0);
-    state_of_dense_.assign(static_cast<size_t>(P) * kSlotsPerPartition,
-                           kInvalidState);
+    for (size_t k = 1; k <= slots; ++k)
+        succ_xadj_[k] += succ_xadj_[k - 1];
+    succ_.resize(succ_xadj_.back());
+    // Weighted automata also flatten the edge weights; unweighted ones
+    // skip them and run the unscored kernels.
+    if (scored_)
+        succ_w_.resize(succ_.size());
     for (StateId s = 0; s < num_states_; ++s) {
-        const SteLocation &loc = mapped_.location(s);
-        uint32_t di = loc.partition * kSlotsPerPartition + loc.slot;
-        dense_index_of_[s] = di;
-        state_of_dense_[di] = s;
+        const auto &out = nfa.state(s).out;
+        uint32_t fill = succ_xadj_[slot_of_[s]];
+        for (size_t i = 0; i < out.size(); ++i, ++fill) {
+            succ_[fill] = slot_of_[out[i]];
+            if (scored_)
+                succ_w_[fill] = nfa.edgeWeight(s, i);
+        }
     }
 
     // Row reads (§2.2), symbol-major so one symbol's step scans
-    // contiguous memory across partitions: state s is bit di of row c
-    // when its label holds c. The table is built on every server's
-    // start path, so a state whose label holds most of the alphabet (a
-    // negated class, `.`) starts set in every row and is then cleared
-    // from the rows of the symbols it rejects: no state costs more than
-    // 128 row writes.
+    // contiguous memory: state s is bit slot(s) of row c when its label
+    // holds c. The table is built on every server's start path, so a
+    // state whose label holds most of the alphabet (a negated class,
+    // `.`) starts set in every row and is then cleared from the rows of
+    // the symbols it rejects: no state costs more than 128 row writes.
     auto wide = [&](StateId s) {
         int n = 0;
-        for (int w = 0; w < 4; ++w)
-            n += std::popcount(labels_[s * 4 + w]);
+        for (uint64_t w : nfa.state(s).label.raw())
+            n += std::popcount(w);
         return n > 128;
     };
     std::vector<uint64_t> all_rows(words, 0);
     for (StateId s = 0; s < num_states_; ++s)
         if (wide(s))
-            all_rows[dense_index_of_[s] >> 6] |=
-                uint64_t{1} << (dense_index_of_[s] & 63);
-    dense_rows_.reserve(static_cast<size_t>(256) * words);
+            all_rows[slot_of_[s] >> 6] |= uint64_t{1} << (slot_of_[s] & 63);
+    rows_.reserve(static_cast<size_t>(256) * words);
     for (int c = 0; c < 256; ++c)
-        dense_rows_.insert(dense_rows_.end(), all_rows.begin(),
-                           all_rows.end());
+        rows_.insert(rows_.end(), all_rows.begin(), all_rows.end());
     for (StateId s = 0; s < num_states_; ++s) {
-        const uint32_t di = dense_index_of_[s];
-        const uint64_t bit = uint64_t{1} << (di & 63);
+        const uint32_t k = slot_of_[s];
+        const uint64_t bit = uint64_t{1} << (k & 63);
         const uint64_t flip = wide(s) ? ~uint64_t{0} : 0;
-        for (int w = 0; w < 4; ++w) {
-            uint64_t toggle = labels_[s * 4 + w] ^ flip;
+        const auto &label = nfa.state(s).label.raw();
+        for (size_t w = 0; w < label.size(); ++w) {
+            uint64_t toggle = label[w] ^ flip;
             while (toggle) {
-                const size_t c = static_cast<size_t>(w) * 64 +
+                const size_t c = w * 64 +
                     static_cast<size_t>(std::countr_zero(toggle));
-                dense_rows_[c * words + (di >> 6)] ^= bit;
+                rows_[c * words + (k >> 6)] ^= bit;
                 toggle &= toggle - 1;
             }
         }
     }
 
-    dense_report_.assign(words, 0);
-    for (StateId s = 0; s < num_states_; ++s) {
-        if (report_info_[s] & 1) {
-            uint32_t di = dense_index_of_[s];
-            dense_report_[di >> 6] |= uint64_t{1} << (di & 63);
-        }
-    }
-    dense_available_ = true;
-
-    if (scored_) {
-        // The scored step relaxes every edge of a matched state by its
-        // weight, so it reads one CSR over the source's dense index in
-        // place of the L-switch and G-switch split.
-        dense_succ_xadj_.assign(state_of_dense_.size() + 1, 0);
-        for (StateId s = 0; s < num_states_; ++s)
-            dense_succ_xadj_[dense_index_of_[s] + 1] =
-                succ_xadj_[s + 1] - succ_xadj_[s];
-        for (size_t i = 1; i < dense_succ_xadj_.size(); ++i)
-            dense_succ_xadj_[i] += dense_succ_xadj_[i - 1];
-        dense_succ_.resize(succ_.size());
-        dense_succ_w_.resize(succ_.size());
-        for (StateId s = 0; s < num_states_; ++s) {
-            uint32_t fill = dense_succ_xadj_[dense_index_of_[s]];
-            for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e) {
-                dense_succ_[fill] = dense_index_of_[succ_[e]];
-                dense_succ_w_[fill++] = succ_w_[e];
-            }
-        }
+    if (!dense_available_ || scored_)
         return;
-    }
-
-    // L-switch crossbar rows (intra-partition successors) and G-switch
-    // CSR (cross-partition successors, few per state by the 16/8 wire
-    // budgets).
-    dense_lswitch_.assign(state_of_dense_.size() * kWordsPerPartition, 0);
-    dense_cross_xadj_.assign(state_of_dense_.size() + 1, 0);
-    std::vector<uint32_t> partition_of(num_states_);
-    for (StateId s = 0; s < num_states_; ++s)
-        partition_of[s] = mapped_.location(s).partition;
-    for (StateId s = 0; s < num_states_; ++s) {
+    // The unweighted dense step's L-switch crossbar rows (intra-partition
+    // successors) and G-switch CSR (cross-partition successors, few per
+    // state by the 16/8 wire budgets).
+    auto partition = [](uint32_t k) { return k / kSlotsPerPartition; };
+    lswitch_.assign(slots * kWordsPerPartition, 0);
+    cross_xadj_.assign(slots + 1, 0);
+    for (uint32_t k = 0; k < slots; ++k) {
         uint32_t cross = 0;
-        for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e)
-            if (partition_of[succ_[e]] != partition_of[s])
-                ++cross;
-        dense_cross_xadj_[dense_index_of_[s] + 1] = cross;
+        for (uint32_t e = succ_xadj_[k]; e < succ_xadj_[k + 1]; ++e)
+            cross += partition(succ_[e]) != partition(k);
+        cross_xadj_[k + 1] = cross_xadj_[k] + cross;
     }
-    for (size_t i = 1; i < dense_cross_xadj_.size(); ++i)
-        dense_cross_xadj_[i] += dense_cross_xadj_[i - 1];
-    dense_cross_.resize(dense_cross_xadj_.back());
-    for (StateId s = 0; s < num_states_; ++s) {
-        uint32_t di = dense_index_of_[s];
-        uint32_t fill = dense_cross_xadj_[di];
-        for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e) {
-            StateId t = succ_[e];
-            uint32_t ti = dense_index_of_[t];
-            if (partition_of[t] == partition_of[s]) {
-                uint32_t slot = ti % kSlotsPerPartition;
-                dense_lswitch_[static_cast<size_t>(di) *
-                                   kWordsPerPartition +
-                               (slot >> 6)] |= uint64_t{1} << (slot & 63);
+    cross_.resize(cross_xadj_.back());
+    for (uint32_t k = 0; k < slots; ++k) {
+        uint32_t fill = cross_xadj_[k];
+        for (uint32_t e = succ_xadj_[k]; e < succ_xadj_[k + 1]; ++e) {
+            const uint32_t t = succ_[e];
+            if (partition(t) == partition(k)) {
+                const uint32_t col = t % kSlotsPerPartition;
+                lswitch_[static_cast<size_t>(k) * kWordsPerPartition +
+                         (col >> 6)] |= uint64_t{1} << (col & 63);
             } else {
-                dense_cross_[fill++] = ti;
+                cross_[fill++] = t;
             }
         }
     }
@@ -274,11 +239,12 @@ MatchContext::buildStartTables()
     // Split the all-input starts: one with an in-edge can also be
     // enabled by a path (with another score), so it stays in the
     // frontier; one without is a fixed start.
-    std::vector<uint8_t> has_in_edge(num_states_, 0);
-    for (StateId t : succ_)
+    const Nfa &nfa = mapped_.nfa();
+    std::vector<uint8_t> has_in_edge(state_of_slot_.size(), 0);
+    for (uint32_t t : succ_)
         has_in_edge[t] = 1;
     for (StateId s : all_input_)
-        (has_in_edge[s] ? reentrant_ : fixed_).push_back(s);
+        (has_in_edge[slot_of_[s]] ? reentrant_ : fixed_).push_back(s);
 
     // A byte's class is the set of fixed starts its label bits match.
     // Classes are numbered in order of first appearance after the empty
@@ -286,10 +252,10 @@ MatchContext::buildStartTables()
     // not live.
     std::array<std::vector<StateId>, 256> matching;
     for (StateId s : fixed_) {
-        for (int w = 0; w < 4; ++w) {
-            for (uint64_t bits = labels_[s * 4 + w]; bits; bits &= bits - 1)
-                matching[static_cast<size_t>(w) * 64 +
-                         static_cast<size_t>(std::countr_zero(bits))]
+        const auto &label = nfa.state(s).label.raw();
+        for (size_t w = 0; w < label.size(); ++w) {
+            for (uint64_t bits = label[w]; bits; bits &= bits - 1)
+                matching[w * 64 + static_cast<size_t>(std::countr_zero(bits))]
                     .push_back(s);
         }
     }
@@ -305,23 +271,19 @@ MatchContext::buildStartTables()
     }
 
     // Each class's image, accumulated in a scratch bit image over the
-    // targets' dense indices (state ids without a dense kernel) and in
-    // scratch score arrays (one per semiring, weighted automata only),
-    // then emitted in that order and cleared word by word.
-    const bool dense = dense_available_;
-    const size_t keys = dense ? state_of_dense_.size() : num_states_;
-    auto key = [&](StateId t) { return dense ? dense_index_of_[t] : t; };
+    // targets' slots and in scratch score arrays (one per semiring,
+    // weighted automata only), then emitted in slot order and cleared
+    // word by word.
     const size_t semirings = scored_ ? image_score_.size() : 0;
     std::array<std::vector<Score>, 2> acc;
     for (size_t r = 0; r < semirings; ++r)
-        acc[r].assign(keys, 0);
-    std::vector<uint64_t> image((keys + 63) / 64, 0);
+        acc[r].assign(state_of_slot_.size(), 0);
+    std::vector<uint64_t> image(slot_words_, 0);
     std::vector<uint32_t> touched;
     auto weight = [&](const std::vector<Weight> &w, size_t i) {
         return scored_ ? static_cast<Score>(w[i]) : 0;
     };
-    auto enable = [&](StateId t, Score cand) {
-        const uint32_t k = key(t);
+    auto enable = [&](uint32_t k, Score cand) {
         uint64_t &word = image[k >> 6];
         const bool seen = (word >> (k & 63)) & 1;
         for (size_t r = 0; r < semirings; ++r)
@@ -335,25 +297,23 @@ MatchContext::buildStartTables()
     class_begin_.emplace_back();
     for (const std::vector<StateId> *set : members) {
         for (StateId s : *set) {
-            if (report_info_[s] & 1)
+            const uint32_t k = slot_of_[s];
+            if ((report_mask_[k >> 6] >> (k & 63)) & 1)
                 class_report_.emplace_back(s, weight(start_w_, s));
-            for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e)
+            for (uint32_t e = succ_xadj_[k]; e < succ_xadj_[k + 1]; ++e)
                 enable(succ_[e], weight(start_w_, s) + weight(succ_w_, e));
         }
         // A re-entrant start competes with any incoming path at its
         // start weight (a fresh local alignment).
         for (StateId s : reentrant_)
-            enable(s, weight(start_w_, s));
+            enable(slot_of_[s], weight(start_w_, s));
         std::sort(touched.begin(), touched.end());
         for (uint32_t w : touched) {
-            if (dense)
-                image_word_.emplace_back(w, image[w]);
+            image_word_.emplace_back(w, image[w]);
             for (uint64_t bits = image[w]; bits; bits &= bits - 1) {
                 const uint32_t k = w * 64 +
                     static_cast<uint32_t>(std::countr_zero(bits));
-                image_state_.push_back(dense ? state_of_dense_[k] : k);
-                if (dense)
-                    image_dense_.push_back(k);
+                image_slot_.push_back(k);
                 for (size_t r = 0; r < semirings; ++r)
                     image_score_[r].push_back(acc[r][k]);
             }
@@ -362,7 +322,7 @@ MatchContext::buildStartTables()
         touched.clear();
         class_begin_.push_back(
             {static_cast<uint32_t>(class_report_.size()),
-             static_cast<uint32_t>(image_state_.size()),
+             static_cast<uint32_t>(image_slot_.size()),
              static_cast<uint32_t>(image_word_.size())});
     }
 }
@@ -377,6 +337,7 @@ MatchContext::buildFrontiers()
     // stream can ever be in past offset 0. One BFS at build time, over
     // every state reachable from a start; a start enters the set only
     // via an in-edge (or by being AllInput).
+    const Nfa &nfa = mapped_.nfa();
     BitVector reached(num_states_);
     BitVector visited(num_states_);
     for (StateId s : all_input_)
@@ -385,9 +346,7 @@ MatchContext::buildFrontiers()
     for (StateId s : work)
         visited.setUnchecked(s);
     for (size_t i = 0; i < work.size(); ++i) {
-        const StateId s = work[i];
-        for (uint32_t e = succ_xadj_[s]; e < succ_xadj_[s + 1]; ++e) {
-            const StateId t = succ_[e];
+        for (StateId t : nfa.state(work[i]).out) {
             reached.setUnchecked(t);
             if (!visited.testUnchecked(t)) {
                 visited.setUnchecked(t);
@@ -405,21 +364,13 @@ MatchEngine::MatchEngine(std::shared_ptr<const MatchContext> ctx,
     : ctx_(std::move(ctx)), opts_(opts)
 {
     CA_FATAL_IF(!ctx_, "MatchEngine: null context");
-    const size_t n = ctx_->numStates();
-    enabled_mask_ = BitVector(n == 0 ? 1 : n);
-    if (ctx_->denseAvailable()) {
-        const size_t bits = static_cast<size_t>(ctx_->dense_partitions_) *
-            kSlotsPerPartition;
-        dense_cur_ = BitVector(bits);
-        dense_nxt_ = BitVector(bits);
-        if (ctx_->scored()) {
-            dense_score_cur_.assign(bits, 0);
-            dense_score_nxt_.assign(bits, 0);
-        }
-    }
+    const size_t slots = ctx_->numSlots();
+    cur_ = BitVector(slots == 0 ? 1 : slots);
+    if (ctx_->denseAvailable())
+        nxt_ = BitVector(slots);
     if (ctx_->scored()) {
-        score_cur_.assign(n, 0);
-        score_nxt_.assign(n, 0);
+        score_cur_.assign(slots, 0);
+        score_nxt_.assign(slots, 0);
     }
     reset();
 }
@@ -452,24 +403,21 @@ MatchEngine::setState(const std::vector<StateId> &frontier,
     CA_FATAL_IF(!scores.empty() && scores.size() != frontier.size(),
                 "MatchEngine: " << frontier.size() << " frontier states "
                                 << "but " << scores.size() << " scores");
-    if (dense_active_) {
-        dense_cur_.clearAll();
-        dense_active_ = false;
-    }
-    const bool scored = ctx_->scored();
-    for (StateId s : enabled_)
-        enabled_mask_.resetUnchecked(s);
+    cur_.clearAll();
     enabled_.clear();
+    dense_active_ = false;
+    const bool scored = ctx_->scored();
     for (size_t i = 0; i < frontier.size(); ++i) {
         StateId s = frontier[i];
         CA_FATAL_IF(s >= ctx_->numStates(),
                     "MatchEngine: frontier state " << s
                                                    << " outside automaton");
-        if (!enabled_mask_.testUnchecked(s)) {
-            enabled_mask_.setUnchecked(s);
-            enabled_.push_back(s);
+        const uint32_t k = ctx_->slot_of_[s];
+        if (!cur_.testUnchecked(k)) {
+            cur_.setUnchecked(k);
+            enabled_.push_back(k);
             if (scored)
-                score_cur_[s] = scores.empty() ? 0 : scores[i];
+                score_cur_[k] = scores.empty() ? 0 : scores[i];
         }
     }
     fixed_live_ = factorFixedStarts();
@@ -484,51 +432,46 @@ MatchEngine::factorFixedStarts()
 {
     const MatchContext &cx = *ctx_;
     for (StateId s : cx.fixed_) {
-        if (!enabled_mask_.testUnchecked(s))
+        const uint32_t k = cx.slot_of_[s];
+        if (!cur_.testUnchecked(k))
             return false;
         if (cx.scored() &&
-            score_cur_[s] != static_cast<Score>(cx.start_w_[s]))
+            score_cur_[k] != static_cast<Score>(cx.start_w_[s]))
             return false;
     }
-    // Clearing their mask bits marks them for the erase.
+    // Clearing their bits marks them for the erase.
     for (StateId s : cx.fixed_)
-        enabled_mask_.resetUnchecked(s);
+        cur_.resetUnchecked(cx.slot_of_[s]);
     std::erase_if(enabled_,
-                  [&](StateId s) { return !enabled_mask_.testUnchecked(s); });
+                  [&](uint32_t k) { return !cur_.testUnchecked(k); });
     return true;
 }
 
 SimCheckpoint
 MatchEngine::checkpoint() const
 {
-    SimCheckpoint ckpt;
-    ckpt.symbolOffset = offset_;
-    if (!ctx_->scored()) {
-        ckpt.enabledStates = frontier();
-        return ckpt;
-    }
-    // Weighted automata checkpoint the per-state scores alongside the
-    // frontier, kept parallel through the canonical sort.
+    // The frontier in state order, the fixed starts included, with the
+    // per-state scores of a weighted automaton kept parallel through
+    // the sort.
+    const MatchContext &cx = *ctx_;
+    const bool scored = cx.scored();
     std::vector<std::pair<StateId, Score>> pairs;
-    if (dense_active_) {
-        dense_cur_.forEachSet([&](size_t di) {
-            pairs.emplace_back(ctx_->state_of_dense_[di],
-                               dense_score_cur_[di]);
-        });
-    } else {
-        for (StateId s : enabled_)
-            pairs.emplace_back(s, score_cur_[s]);
-    }
+    cur_.forEachSet([&](size_t k) {
+        pairs.emplace_back(cx.state_of_slot_[k], scored ? score_cur_[k] : 0);
+    });
     if (fixed_live_) {
-        for (StateId s : ctx_->fixed_)
-            pairs.emplace_back(s, static_cast<Score>(ctx_->start_w_[s]));
+        for (StateId s : cx.fixed_)
+            pairs.emplace_back(
+                s, scored ? static_cast<Score>(cx.start_w_[s]) : 0);
     }
     std::sort(pairs.begin(), pairs.end());
+    SimCheckpoint ckpt;
+    ckpt.symbolOffset = offset_;
     ckpt.enabledStates.reserve(pairs.size());
-    ckpt.enabledScores.reserve(pairs.size());
     for (const auto &[s, score] : pairs) {
         ckpt.enabledStates.push_back(s);
-        ckpt.enabledScores.push_back(score);
+        if (scored)
+            ckpt.enabledScores.push_back(score);
     }
     return ckpt;
 }
@@ -542,18 +485,7 @@ MatchEngine::restore(const SimCheckpoint &ckpt)
 std::vector<StateId>
 MatchEngine::frontier() const
 {
-    std::vector<StateId> out;
-    if (dense_active_) {
-        dense_cur_.forEachSet([&](size_t di) {
-            out.push_back(ctx_->state_of_dense_[di]);
-        });
-    } else {
-        out = enabled_;
-    }
-    if (fixed_live_)
-        out.insert(out.end(), ctx_->fixed_.begin(), ctx_->fixed_.end());
-    std::sort(out.begin(), out.end());
-    return out;
+    return checkpoint().enabledStates;
 }
 
 std::vector<Score>
@@ -565,7 +497,7 @@ MatchEngine::frontierScores() const
 size_t
 MatchEngine::frontierSize() const
 {
-    return dense_active_ ? dense_cur_.count() : enabled_.size();
+    return dense_active_ ? cur_.count() : enabled_.size();
 }
 
 std::vector<Report>
@@ -668,33 +600,11 @@ MatchEngine::denseSymbols() const
 }
 
 void
-MatchEngine::syncDenseFromSparse()
+MatchEngine::rebuildWorklist()
 {
-    const bool scored = ctx_->scored();
-    dense_cur_.clearAll();
-    for (StateId s : enabled_) {
-        uint32_t di = ctx_->dense_index_of_[s];
-        dense_cur_.setUnchecked(di);
-        if (scored)
-            dense_score_cur_[di] = score_cur_[s];
-    }
-    dense_active_ = true;
-}
-
-void
-MatchEngine::syncSparseFromDense()
-{
-    const bool scored = ctx_->scored();
-    for (StateId s : enabled_)
-        enabled_mask_.resetUnchecked(s);
     enabled_.clear();
-    dense_cur_.forEachSet([&](size_t di) {
-        StateId s = ctx_->state_of_dense_[di];
-        enabled_mask_.setUnchecked(s);
-        enabled_.push_back(s);
-        if (scored)
-            score_cur_[s] = dense_score_cur_[di];
-    });
+    cur_.forEachSet(
+        [&](size_t k) { enabled_.push_back(static_cast<uint32_t>(k)); });
     dense_active_ = false;
 }
 
@@ -715,7 +625,7 @@ MatchEngine::emitCycleReports()
         for (const auto &[s, score] : cycle_reports_)
             reports_.push_back(Report{
                 offset_,
-                static_cast<uint32_t>(ctx_->report_info_[s] >> 1), s,
+                ctx_->report_id_[s], s,
                 score});
     }
     cycle_reports_.clear();

@@ -3,8 +3,8 @@
  * Match engine: the one implementation of the per-symbol step
  * (docs/MATCH.md).
  *
- * `MatchContext` holds the immutable per-automaton tables (flattened
- * labels/successors plus the dense §2.2 row-read tables), and
+ * `MatchContext` holds the immutable per-automaton tables (the §2.2
+ * match rows, successors and start image, laid out once by slot), and
  * `MatchEngine` runs one stream's frontier over them with the sparse
  * and dense kernels and the Auto selector (DESIGN.md §7). N engines
  * running chunks of one stream in parallel, or N runtime workers
@@ -168,6 +168,24 @@ struct MatchOptions
  * the same mapped automaton, plus the two frontier sets the speculative
  * chunk-parallel matcher needs.
  *
+ * Every per-state table is laid out once, by *slot*. A slot is a state's
+ * dense index (partition * 256 + column, its §2.2 SRAM column) when the
+ * mapping's geometry admits the dense kernel, and its state id when it
+ * does not. Both kernels read the same tables by slot:
+ *  - the symbol-major match rows (row c is the match vector of byte c):
+ *    the dense kernel ANDs whole words of it, the sparse kernel tests
+ *    one bit per frontier slot;
+ *  - the report mask;
+ *  - one successor CSR (target slot, then edge weight on a weighted
+ *    automaton), read by both sparse steppers and the weighted dense
+ *    step;
+ *  - the start image below.
+ * The unweighted dense step alone reads the hardware's split of the same
+ * edges: L-switch rows (intra-partition successor masks) and a G-switch
+ * CSR of cross-partition edges. State ids appear only at the boundary:
+ * loading and reading a frontier, the fixed starts, and report emission
+ * in ascending state-id order (report ids stay per state).
+ *
  * Among the tables is the starts' image, the software form of the
  * hardware's constant all-input mask (§2.2). A fixed start (an
  * all-input start with no in-edge) is enabled before every symbol at
@@ -177,17 +195,11 @@ struct MatchOptions
  * class lists its reporting fixed starts (at their start weights) and
  * its targets: the stepping fixed starts' successors and the
  * re-entrant starts (all-input starts with an in-edge). A target is
- * held as a state id, as a dense index and in the class's dense (word,
- * mask) pairs; on a weighted automaton it also carries its ⊕-combined
+ * held as a slot, and the class's targets also as dense (word, mask)
+ * pairs; on a weighted automaton a target also carries its ⊕-combined
  * score (startWeight + edge weight, or startWeight), one list per
  * semiring. Every kernel starts the next frontier as the byte class's
  * image and puts the frontier's matched edges on top.
- *
- * The dense step's successor tables depend on whether the automaton is
- * weighted. An unweighted one gets the hardware's split: L-switch rows
- * (intra-partition successor masks) and a G-switch CSR of cross-
- * partition edges. A weighted one gets one struct-of-arrays CSR over
- * the source's dense index (target bit, then edge weight).
  *
  *  - startFrontier(): the exact offset-0 frontier (StartOfData and
  *    AllInput start states).
@@ -213,16 +225,18 @@ class MatchContext
     explicit MatchContext(std::shared_ptr<const MappedAutomaton> mapped);
 
     size_t numStates() const { return num_states_; }
-    uint32_t numPartitions() const { return dense_partitions_; }
 
     /** False when the mapping's geometry rules out the dense kernel. */
     bool denseAvailable() const { return dense_available_; }
 
     /**
-     * State @p s's bit in the dense frontier (partition * 256 + slot);
-     * meaningful only when denseAvailable().
+     * The slot count: partitions * 256 with a dense kernel, numStates()
+     * without one. Some dense slots hold no state.
      */
-    uint32_t denseIndex(StateId s) const { return dense_index_of_[s]; }
+    size_t numSlots() const { return state_of_slot_.size(); }
+
+    /** State @p s's slot (its dense index, or @p s without a dense kernel). */
+    uint32_t slot(StateId s) const { return slot_of_[s]; }
 
     /** True when the bound automaton carries transition weights. */
     bool scored() const { return scored_; }
@@ -248,8 +262,8 @@ class MatchContext
   private:
     friend class MatchEngine;
 
-    void buildSparseTables();
-    void buildDenseTables();
+    void buildSlots();
+    void buildTables();
     void buildStartTables();
     void buildFrontiers();
 
@@ -258,50 +272,40 @@ class MatchContext
     const MappedAutomaton &mapped_;
     size_t num_states_ = 0;
 
-    // Sparse tables.
+    // Per-state tables, for the boundary.
     std::vector<StateId> all_input_;
     /** All-input starts with an in-edge: re-enabled into the frontier. */
     std::vector<StateId> reentrant_;
     /** All-input starts without one (fixedStarts()). */
     std::vector<StateId> fixed_;
-    /** Flat 4-word label images: labels_[s*4 + w]. */
-    std::vector<uint64_t> labels_;
-    /** CSR successor lists. */
-    std::vector<uint32_t> succ_xadj_;
-    std::vector<StateId> succ_;
-    /** Report flag + id packed: (id << 1) | report. */
-    std::vector<uint64_t> report_info_;
-
-    // Scoring tables (built only for weighted automata).
-    bool scored_ = false;
-    /** Per-edge weights, CSR-parallel to succ_. */
-    std::vector<Weight> succ_w_;
-    /** Per-state start weights. */
+    std::vector<uint32_t> report_id_;
+    /** Start weights (weighted automata only). */
     std::vector<Weight> start_w_;
+    bool scored_ = false;
 
-    // Dense tables (§2.2 geometry: 4 words = 256 bits per partition).
+    // The slot map (§2.2 geometry: 4 words = 256 slots per partition).
     bool dense_available_ = false;
     uint32_t dense_partitions_ = 0;
-    std::vector<uint32_t> dense_index_of_;
-    std::vector<StateId> state_of_dense_;
-    /** Symbol-major row reads: rows_[((c*P)+p)*4 + w]. */
-    std::vector<uint64_t> dense_rows_;
-    // Successors, unweighted automata: the L-switch and G-switch split.
-    /** L-switch: per-state intra-partition successor masks. */
-    std::vector<uint64_t> dense_lswitch_;
-    /** G-switch: CSR of cross-partition successor dense indices. */
-    std::vector<uint32_t> dense_cross_xadj_;
-    std::vector<uint32_t> dense_cross_;
-    /**
-     * Successors, weighted automata: every edge in a CSR over the
-     * source's dense index, struct-of-arrays (target dense index, edge
-     * weight).
-     */
-    std::vector<uint32_t> dense_succ_xadj_;
-    std::vector<uint32_t> dense_succ_;
-    std::vector<Weight> dense_succ_w_;
-    /** Per-partition reporting mask (p*4+w). */
-    std::vector<uint64_t> dense_report_;
+    std::vector<uint32_t> slot_of_;
+    /** kInvalidState at a dense slot that holds no state. */
+    std::vector<StateId> state_of_slot_;
+    /** Words per slot bitvector. */
+    size_t slot_words_ = 0;
+
+    // Per-slot tables.
+    /** Symbol-major match rows: rows_[c * slot_words_ + w]. */
+    std::vector<uint64_t> rows_;
+    std::vector<uint64_t> report_mask_;
+    /** Successor CSR: target slots, and edge weights (weighted only). */
+    std::vector<uint32_t> succ_xadj_;
+    std::vector<uint32_t> succ_;
+    std::vector<Weight> succ_w_;
+    // The unweighted dense step's successors, the hardware's split.
+    /** L-switch: per-slot intra-partition successor masks. */
+    std::vector<uint64_t> lswitch_;
+    /** G-switch: CSR of cross-partition successor slots. */
+    std::vector<uint32_t> cross_xadj_;
+    std::vector<uint32_t> cross_;
 
     // The starts' image per byte class. Class ids take 9 bits: up to 256
     // non-empty classes plus the empty class 0.
@@ -317,15 +321,12 @@ class MatchContext
     /** Reporting fixed starts, ascending, with their start weights. */
     std::vector<std::pair<StateId, Score>> class_report_;
     /**
-     * Targets in dense order (state order without a dense kernel), as
-     * state ids and dense indices, with their ⊕-combined scores on
-     * weighted automata (one list per semiring, indexed by
-     * ScoreSemiring).
+     * Targets in slot order, with their ⊕-combined scores on weighted
+     * automata (one list per semiring, indexed by ScoreSemiring).
      */
-    std::vector<StateId> image_state_;
-    std::vector<uint32_t> image_dense_;
+    std::vector<uint32_t> image_slot_;
     std::array<std::vector<Score>, 2> image_score_;
-    /** The targets as dense (word, mask) pairs, ascending by word. */
+    /** The targets as (word, mask) pairs, ascending by word. */
     std::vector<std::pair<uint32_t, uint64_t>> image_word_;
 
     // Precomputed frontier sets (sorted, deduplicated).
@@ -339,6 +340,7 @@ class MatchContext
  * kernels carry no accounting at all. It also documents the hooks a
  * policy provides; the steppers call them at the points the §2.8/§5.3
  * hardware model counts (src/sim's ActivityObserver implements them).
+ * Every hook names states by slot (MatchContext::slot()).
  */
 struct NullObserver
 {
@@ -355,10 +357,10 @@ struct NullObserver
      * @p symbols cycles starting at @p offset without stepping them.
      */
     void skip(uint64_t /*offset*/, size_t /*symbols*/) {}
-    /** Sparse kernel: the enabled frontier the next symbol tests. */
-    void sparseFrontier(const std::vector<StateId> & /*enabled*/) {}
-    /** Sparse kernel: state @p s matched the symbol. */
-    void sparseMatch(StateId /*s*/) {}
+    /** Sparse kernel: the enabled frontier's slots the next symbol tests. */
+    void sparseFrontier(const std::vector<uint32_t> & /*slots*/) {}
+    /** Sparse kernel: the state at slot @p k matched the symbol. */
+    void sparseMatch(uint32_t /*k*/) {}
     /**
      * The fixed starts are enabled for this symbol, whose byte is @p c:
      * the step serves them from byte c's class in the start image.
@@ -392,6 +394,11 @@ struct NullObserver
  * and the frontier's matched edges go on top, scores ⊕-combined. The
  * symbol's reports, the frontier's and the class's, go through one
  * (state, score) buffer, with score 0 on an unweighted automaton.
+ *
+ * Both kernels step one slot-indexed frontier bitvector and one
+ * slot-indexed score pair, so an Auto kernel switch moves nothing: the
+ * sparse kernel's worklist of the frontier's slots is rebuilt from the
+ * bitvector when Auto moves to sparse.
  */
 class MatchEngine
 {
@@ -489,11 +496,10 @@ class MatchEngine
     size_t emitCycleReports();
     /** True when the next block should run the dense kernel. */
     bool chooseDense();
-    /** Moves the live frontier between representations. */
-    void syncDenseFromSparse();
-    void syncSparseFromDense();
+    /** Lists the frontier's slots for the sparse kernel. */
+    void rebuildWorklist();
     /**
-     * Takes the fixed starts out of a just-loaded sparse frontier when
+     * Takes the fixed starts out of a just-loaded frontier when
      * all of them are in it at their start weights; returns whether it
      * did (the fixed_live_ invariant).
      */
@@ -509,40 +515,39 @@ class MatchEngine
     MatchOptions opts_;
     bool collect_ = true;
 
-    // Sparse frontier representation.
-    std::vector<StateId> enabled_;
-    BitVector enabled_mask_;
-    std::vector<StateId> active_scratch_;
+    /**
+     * The frontier by slot: the sparse kernel's membership mask and the
+     * dense kernel's current vector. nxt_ is the dense kernel's next
+     * vector (allocated only with a dense kernel).
+     */
+    BitVector cur_;
+    BitVector nxt_;
+    /** The sparse kernel's worklist: cur_'s slots, stale while dense. */
+    std::vector<uint32_t> enabled_;
+    std::vector<uint32_t> active_scratch_;
+    /** The dense kernel ran last, so enabled_ is stale. */
+    bool dense_active_ = false;
     /**
      * (state, score) pairs that fired this cycle, sorted by state
      * before emission; scores are 0 on an unweighted automaton.
      */
     std::vector<std::pair<StateId, Score>> cycle_reports_;
 
-    // Dense frontier representation.
-    BitVector dense_cur_;
-    BitVector dense_nxt_;
-    bool dense_active_ = false;
-
     /**
-     * The fixed starts are enabled at their start weights and held in
-     * neither representation; the kernels serve them from the byte's
-     * class. False only until the first symbol after setState() loaded
-     * a frontier lacking one of them (or carrying a different score):
-     * that symbol takes the empty class 0, and its fixed starts sit in
-     * the frontier like any other state.
+     * The fixed starts are enabled at their start weights and held out
+     * of the frontier; the kernels serve them from the byte's class.
+     * False only until the first symbol after setState() loaded a
+     * frontier lacking one of them (or carrying a different score): that
+     * symbol takes the empty class 0, and its fixed starts sit in the
+     * frontier like any other state.
      */
     bool fixed_live_ = false;
 
-    // Scored-frontier state (allocated only for weighted automata).
-    // Sparse scores are state-indexed, valid where enabled_mask_ is set;
-    // dense scores are dense-indexed, valid where dense_cur_ is set.
+    // Scores by slot (allocated only for weighted automata), valid
+    // where cur_ is set. A step writes a target's first next score
+    // outright and ⊕s the rest into it.
     std::vector<Score> score_cur_;
     std::vector<Score> score_nxt_;
-    // A dense next score is valid where dense_nxt_ is set: the step
-    // writes a target's first score outright and ⊕s the rest into it.
-    std::vector<Score> dense_score_cur_;
-    std::vector<Score> dense_score_nxt_;
 
     // Auto-kernel state.
     double density_ewma_ = 0.0;

@@ -71,7 +71,7 @@ parseMatchParallel(std::string_view value)
 ParallelMatcher::ParallelMatcher(std::shared_ptr<const MatchContext> ctx,
                                  const ParallelOptions &opts)
     : ctx_(std::move(ctx)), opts_(opts),
-      join_engine_(ctx_, opts.engine)
+      join_engine_(ctx_, opts.engine), start_(join_engine_.checkpoint())
 {
     degree_ = opts_.degree == 0 ? hardwareDegree() : opts_.degree;
     if (degree_ < 1)
@@ -139,15 +139,34 @@ ParallelMatcher::runChunk(MatchEngine &eng, Chunk &c)
 MatchResult
 ParallelMatcher::match(const uint8_t *data, size_t size)
 {
-    return match(ctx_->startFrontier(), 0, data, size);
+    return match(start_.enabledStates, start_.enabledScores, 0, data, size);
+}
+
+MatchResult
+ParallelMatcher::match(const std::vector<StateId> &frontier,
+                       const std::vector<Score> &scores, uint64_t offset,
+                       const uint8_t *data, size_t size)
+{
+    std::lock_guard<std::mutex> lk(call_mu_);
+    return runLocked(frontier, scores, offset, data, size);
 }
 
 MatchResult
 ParallelMatcher::match(const std::vector<StateId> &frontier,
                        uint64_t offset, const uint8_t *data, size_t size)
 {
-    std::lock_guard<std::mutex> lk(call_mu_);
-    return runLocked(frontier, offset, data, size);
+    return match(frontier, {}, offset, data, size);
+}
+
+std::optional<MatchResult>
+ParallelMatcher::tryMatch(const std::vector<StateId> &frontier,
+                          const std::vector<Score> &scores, uint64_t offset,
+                          const uint8_t *data, size_t size)
+{
+    std::unique_lock<std::mutex> lk(call_mu_, std::try_to_lock);
+    if (!lk.owns_lock())
+        return std::nullopt;
+    return runLocked(frontier, scores, offset, data, size);
 }
 
 std::optional<MatchResult>
@@ -155,26 +174,18 @@ ParallelMatcher::tryMatch(const std::vector<StateId> &frontier,
                           uint64_t offset, const uint8_t *data,
                           size_t size)
 {
-    std::unique_lock<std::mutex> lk(call_mu_, std::try_to_lock);
-    if (!lk.owns_lock())
-        return std::nullopt;
-    return runLocked(frontier, offset, data, size);
+    return tryMatch(frontier, {}, offset, data, size);
 }
 
 void
 ParallelMatcher::runSerial(MatchResult &out,
                            const std::vector<StateId> &frontier,
+                           const std::vector<Score> &scores,
                            uint64_t offset, const uint8_t *data,
                            size_t size)
 {
     join_engine_.setCollectReports(true);
-    // A scored run from offset 0 must seed start weights, which a plain
-    // frontier load would zero out; reset() carries them.
-    if (ctx_->scored() && offset == 0 &&
-        frontier == ctx_->startFrontier())
-        join_engine_.reset();
-    else
-        join_engine_.setState(frontier, offset);
+    join_engine_.setState(frontier, scores, offset);
     join_engine_.feed(data, size);
     out.reports = join_engine_.takeReports();
     out.frontier = join_engine_.frontier();
@@ -184,6 +195,7 @@ ParallelMatcher::runSerial(MatchResult &out,
 
 MatchResult
 ParallelMatcher::runLocked(const std::vector<StateId> &frontier,
+                           const std::vector<Score> &scores,
                            uint64_t offset, const uint8_t *data,
                            size_t size)
 {
@@ -200,7 +212,7 @@ ParallelMatcher::runLocked(const std::vector<StateId> &frontier,
     if (ctx_->scored())
         n_chunks = 1;
     if (n_chunks < 2 || workers_.empty()) {
-        runSerial(out, frontier, offset, data, size);
+        runSerial(out, frontier, scores, offset, data, size);
         std::lock_guard<std::mutex> slk(stats_mu_);
         ++stats_.calls;
         ++stats_.serialCalls;
@@ -243,7 +255,7 @@ ParallelMatcher::runLocked(const std::vector<StateId> &frontier,
 
     // Chunk 0 runs exactly from the incoming frontier.
     join_engine_.setCollectReports(true);
-    join_engine_.setState(frontier, offset);
+    join_engine_.setState(frontier, scores, offset);
     join_engine_.feed(chunks[0].data, chunks[0].len);
     out.reports = join_engine_.takeReports();
     std::vector<StateId> exact = join_engine_.frontier();

@@ -104,14 +104,33 @@ class ParallelMatcher
     ParallelMatcher(const ParallelMatcher &) = delete;
     ParallelMatcher &operator=(const ParallelMatcher &) = delete;
 
-    /** Matches a whole stream from offset 0 (start frontier). */
+    /**
+     * Matches a whole stream from offset 0, from a fresh engine's
+     * frontier and scores.
+     */
     MatchResult match(const uint8_t *data, size_t size);
 
-    /** Matches a buffer continuing from an arbitrary frontier/offset. */
+    /**
+     * Matches a buffer continuing from an arbitrary frontier/offset, with
+     * the per-state scores parallel to @p frontier (a previous call's
+     * frontierScores). An empty @p scores means all-zero, as in
+     * MatchEngine::setState.
+     */
+    MatchResult match(const std::vector<StateId> &frontier,
+                      const std::vector<Score> &scores, uint64_t offset,
+                      const uint8_t *data, size_t size);
+
+    /** match() from @p frontier with every state at score 0. */
     MatchResult match(const std::vector<StateId> &frontier,
                       uint64_t offset, const uint8_t *data, size_t size);
 
     /** match(), unless another call is in flight (then nullopt). */
+    std::optional<MatchResult> tryMatch(
+        const std::vector<StateId> &frontier,
+        const std::vector<Score> &scores, uint64_t offset,
+        const uint8_t *data, size_t size);
+
+    /** tryMatch() from @p frontier with every state at score 0. */
     std::optional<MatchResult> tryMatch(
         const std::vector<StateId> &frontier, uint64_t offset,
         const uint8_t *data, size_t size);
@@ -138,10 +157,10 @@ class ParallelMatcher
     };
 
     MatchResult runLocked(const std::vector<StateId> &frontier,
-                          uint64_t offset, const uint8_t *data,
-                          size_t size);
-    void runSerial(MatchResult &out,
-                   const std::vector<StateId> &frontier, uint64_t offset,
+                          const std::vector<Score> &scores, uint64_t offset,
+                          const uint8_t *data, size_t size);
+    void runSerial(MatchResult &out, const std::vector<StateId> &frontier,
+                   const std::vector<Score> &scores, uint64_t offset,
                    const uint8_t *data, size_t size);
     void workerLoop();
     void runChunk(MatchEngine &eng, Chunk &c);
@@ -152,6 +171,8 @@ class ParallelMatcher
 
     /** The calling thread's engine: chunk 0, replays, serial calls. */
     MatchEngine join_engine_;
+    /** A fresh engine's checkpoint: where match(data, size) starts. */
+    const SimCheckpoint start_;
 
     std::mutex call_mu_; ///< Serializes match() calls.
 

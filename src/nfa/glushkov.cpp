@@ -86,7 +86,7 @@ class GlushkovBuilder
         return visit(node);
     }
 
-    const std::vector<SymbolSet> &labels() const { return labels_; }
+    const std::vector<SymbolSet> &labels() const { return position_labels_; }
     const std::vector<std::vector<uint32_t>> &follow() const
     {
         return follow_;
@@ -103,11 +103,11 @@ class GlushkovBuilder
             return g;
           }
           case RegexOp::Class: {
-            CA_FATAL_IF(labels_.size() >= max_positions_,
+            CA_FATAL_IF(position_labels_.size() >= max_positions_,
                         "pattern exceeds position limit "
                             << max_positions_);
-            uint32_t p = static_cast<uint32_t>(labels_.size());
-            labels_.push_back(node.cls);
+            uint32_t p = static_cast<uint32_t>(position_labels_.size());
+            position_labels_.push_back(node.cls);
             follow_.emplace_back();
             GInfo g;
             g.nullable = false;
@@ -164,7 +164,7 @@ class GlushkovBuilder
     }
 
     size_t max_positions_;
-    std::vector<SymbolSet> labels_;
+    std::vector<SymbolSet> position_labels_;
     std::vector<std::vector<uint32_t>> follow_;
 };
 

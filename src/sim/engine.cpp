@@ -53,6 +53,13 @@ struct SimCounters
     }
 };
 
+/** Bit @p k of a slot mask, as a count. */
+uint32_t
+maskBit(const std::vector<uint64_t> &mask, uint32_t k)
+{
+    return static_cast<uint32_t>((mask[k >> 6] >> (k & 63)) & 1);
+}
+
 } // namespace
 
 ActivityStats
@@ -93,48 +100,37 @@ ActivityObserver::ActivityObserver(const match::MatchContext &ctx,
       record_trace_(opts.recordTrace)
 {
     const MappedAutomaton &mapped = ctx.mapped();
-    const size_t n = ctx.numStates();
-    partition_of_.resize(n);
-    cross_flags_.assign(n, 0);
-    for (StateId s = 0; s < n; ++s)
-        partition_of_[s] = mapped.location(s).partition;
-    for (const CrossEdge &e : mapped.crossEdges())
-        cross_flags_[e.from] |= e.viaG4 ? 2 : 1;
+    const size_t words = (ctx.numSlots() + 63) / 64;
+    partition_of_.assign(ctx.numSlots(), 0);
+    for (StateId s = 0; s < ctx.numStates(); ++s)
+        partition_of_[ctx.slot(s)] = mapped.location(s).partition;
+    // The G1/G4 source masks: the sparse kernel tests one bit per
+    // matched slot, the dense kernel counts a matched word's crossings
+    // with one popcount.
+    g1_.assign(words, 0);
+    g4_.assign(words, 0);
+    for (const CrossEdge &e : mapped.crossEdges()) {
+        const uint32_t k = ctx.slot(e.from);
+        (e.viaG4 ? g4_ : g1_)[k >> 6] |= uint64_t{1} << (k & 63);
+    }
     partition_epoch_.assign(mapped.numPartitions(), ~0ull);
 
     fixed_partition_.assign(mapped.numPartitions(), 0);
     for (StateId s : ctx.fixedStarts()) {
+        const uint32_t k = ctx.slot(s);
         ++fixed_states_;
-        fixed_partition_[partition_of_[s]] = 1;
+        fixed_partition_[partition_of_[k]] = 1;
         const SymbolSet &label = mapped.nfa().state(s).label;
         for (int c = 0; c < 256; ++c) {
             if (!label.test(static_cast<uint8_t>(c)))
                 continue;
             ++fixed_matched_[c];
-            fixed_g1_[c] += cross_flags_[s] & 1;
-            fixed_g4_[c] += (cross_flags_[s] >> 1) & 1;
+            fixed_g1_[c] += maskBit(g1_, k);
+            fixed_g4_[c] += maskBit(g4_, k);
         }
     }
     for (uint8_t f : fixed_partition_)
         fixed_partitions_ += f;
-
-    // Per-word G1/G4 source masks: the dense kernel counts crossings
-    // word-parallel, one popcount per matched word.
-    if (ctx.denseAvailable()) {
-        const size_t words =
-            static_cast<size_t>(ctx.numPartitions()) *
-            match::kWordsPerPartition;
-        dense_g1_.assign(words, 0);
-        dense_g4_.assign(words, 0);
-        for (StateId s = 0; s < n; ++s) {
-            const uint32_t di = ctx.denseIndex(s);
-            const uint64_t bit = uint64_t{1} << (di & 63);
-            if (cross_flags_[s] & 1)
-                dense_g1_[di >> 6] |= bit;
-            if (cross_flags_[s] & 2)
-                dense_g4_[di >> 6] |= bit;
-        }
-    }
 }
 
 void
@@ -182,14 +178,14 @@ ActivityObserver::fixedStarts(uint8_t c)
 }
 
 void
-ActivityObserver::sparseFrontier(const std::vector<StateId> &enabled)
+ActivityObserver::sparseFrontier(const std::vector<uint32_t> &slots)
 {
-    acc_.totalEnabledStates += enabled.size();
+    acc_.totalEnabledStates += slots.size();
     // A partition is active (performs an array read + L-switch access)
     // when its active-state vector has any bit set (§5.3).
     const uint64_t epoch = ++epoch_counter_;
-    for (StateId s : enabled) {
-        uint32_t p = partition_of_[s];
+    for (uint32_t k : slots) {
+        uint32_t p = partition_of_[k];
         if (fixed_cycle_ && fixed_partition_[p])
             continue;
         if (partition_epoch_[p] != epoch) {
@@ -200,14 +196,11 @@ ActivityObserver::sparseFrontier(const std::vector<StateId> &enabled)
 }
 
 void
-ActivityObserver::sparseMatch(StateId s)
+ActivityObserver::sparseMatch(uint32_t k)
 {
     ++cycle_active_;
-    const uint8_t flags = cross_flags_[s];
-    if (flags & 1)
-        ++cycle_g1_;
-    if (flags & 2)
-        ++cycle_g4_;
+    cycle_g1_ += maskBit(g1_, k);
+    cycle_g4_ += maskBit(g4_, k);
 }
 
 void
@@ -225,10 +218,8 @@ void
 ActivityObserver::denseMatch(size_t word, uint64_t matched)
 {
     cycle_active_ += static_cast<uint32_t>(std::popcount(matched));
-    cycle_g1_ += static_cast<uint32_t>(
-        std::popcount(matched & dense_g1_[word]));
-    cycle_g4_ += static_cast<uint32_t>(
-        std::popcount(matched & dense_g4_[word]));
+    cycle_g1_ += static_cast<uint32_t>(std::popcount(matched & g1_[word]));
+    cycle_g4_ += static_cast<uint32_t>(std::popcount(matched & g4_[word]));
 }
 
 void

@@ -118,11 +118,12 @@ struct SimResult
  * active states, active partitions, G1/G4 crossings, output-buffer
  * interrupts, the optional cycle trace, and which kernel ran each
  * symbol. Both kernels feed it the same per-cycle quantities — the
- * sparse one per matched state, the dense one per matched 64-bit word —
- * so the counters are bit-identical across kernels. The fixed starts,
- * which the kernels keep out of the frontier, are added back per
- * symbol from per-byte counts, so the counters also equal those of a
- * frontier that holds them (the hardware's view).
+ * sparse one per matched slot, the dense one per matched 64-bit word —
+ * and it keys one partition table and one pair of G1/G4 source masks by
+ * slot for both, so the counters are bit-identical across kernels. The
+ * fixed starts, which the kernels keep out of the frontier, are added
+ * back per symbol from per-byte counts, so the counters also equal
+ * those of a frontier that holds them (the hardware's view).
  */
 class ActivityObserver
 {
@@ -142,8 +143,8 @@ class ActivityObserver
     void block(bool dense, size_t symbols);
     void skip(uint64_t offset, size_t symbols);
     void fixedStarts(uint8_t c);
-    void sparseFrontier(const std::vector<StateId> &enabled);
-    void sparseMatch(StateId s);
+    void sparseFrontier(const std::vector<uint32_t> &slots);
+    void sparseMatch(uint32_t k);
     void densePartition(uint32_t p, uint64_t e0, uint64_t e1, uint64_t e2,
                         uint64_t e3);
     void denseMatch(size_t word, uint64_t matched);
@@ -154,12 +155,11 @@ class ActivityObserver
     const uint64_t output_depth_;
     const bool record_trace_;
 
-    // Per-state and per-dense-word attributes.
+    // By slot: each one's partition, and the G1-source / G4-source
+    // masks over the frontier words.
     std::vector<uint32_t> partition_of_;
-    std::vector<uint8_t> cross_flags_; ///< bit0: G1 source, bit1: G4 source.
-    /** G1-source / G4-source masks over the dense frontier words. */
-    std::vector<uint64_t> dense_g1_;
-    std::vector<uint64_t> dense_g4_;
+    std::vector<uint64_t> g1_;
+    std::vector<uint64_t> g4_;
 
     /** Sparse active-partition detection: last epoch each was seen. */
     std::vector<uint64_t> partition_epoch_;

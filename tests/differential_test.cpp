@@ -32,6 +32,10 @@
  * start per byte value gives 256 non-empty classes beside the empty
  * class, so class ids that fit in 8 bits serve some byte the wrong
  * image.
+ *
+ * A third maps one component of more than 256 states into a 512-STE
+ * partition: no dense kernel fits that geometry, so every slot is the
+ * state id, and every engine must still agree with NfaEngine.
  */
 #include <gtest/gtest.h>
 
@@ -39,6 +43,7 @@
 #include <memory>
 #include <vector>
 
+#include "arch/design.h"
 #include "baseline/nfa_engine.h"
 #include "compiler/mapping.h"
 #include "core/rng.h"
@@ -611,6 +616,155 @@ TEST(DifferentialFullClassMap, EveryByteHasItsOwnStartClass)
                           weighted ? ref.scores : std::vector<Score>{})
                     << kernelName(k);
             }
+        }
+    }
+}
+
+/**
+ * One connected component of 280-399 states, so a 512-STE partition
+ * holds it with its last states past slot 255. Each state after the
+ * first is tied to an earlier one: a fixed start (state 0, and some
+ * all-input starts) by an out-edge, any other state by an in-edge.
+ * Random edges into states that are not fixed starts go on top. State 1
+ * is a re-entrant all-input start and state 2 a start-of-data start.
+ */
+Nfa
+bigComponentNfa(Rng &rng, bool weighted)
+{
+    const size_t n = 280 + rng.below(120);
+    Nfa nfa;
+    std::vector<bool> closed(n, false);
+    for (size_t s = 0; s < n; ++s) {
+        const bool all_input = s < 2 || rng.chance(0.03);
+        const StartType start = all_input ? StartType::AllInput
+            : s == 2                      ? StartType::StartOfData
+                                          : StartType::None;
+        closed[s] = all_input && s != 1 && (s == 0 || rng.chance(0.6));
+        nfa.addState(randomLabel(rng), start, rng.chance(0.1),
+                     static_cast<uint32_t>(rng.below(4)));
+        if (weighted && start != StartType::None)
+            nfa.state(static_cast<StateId>(s)).startWeight =
+                static_cast<Weight>(rng.range(-3, 3));
+    }
+    auto edge = [&](StateId from, StateId to) {
+        if (weighted)
+            nfa.addTransition(from, to,
+                              static_cast<Weight>(rng.range(-5, 7)));
+        else
+            nfa.addTransition(from, to);
+    };
+    for (StateId s = 1; s < n; ++s) {
+        StateId earlier = static_cast<StateId>(rng.below(s));
+        if (closed[s])
+            edge(s, earlier == 0 ? 1 : earlier);
+        else if (!closed[earlier] || earlier == 0)
+            edge(earlier, s);
+        else
+            edge(0, s);
+    }
+    for (size_t k = 0; k < n; ++k) {
+        const StateId from = static_cast<StateId>(rng.below(n));
+        const StateId to = static_cast<StateId>(rng.below(n));
+        if (!closed[to])
+            edge(from, to);
+    }
+    edge(static_cast<StateId>(n - 1), 1);
+    nfa.dedupeEdges();
+    return nfa;
+}
+
+TEST(DifferentialSparseOnly, SlotsPastOnePartitionNeedNoDenseKernel)
+{
+    Rng rng(0x5107ull);
+    for (int trial = 0; trial < 4; ++trial) {
+        const bool weighted = trial % 2 == 1;
+        MappedAutomaton m =
+            mapNfa(bigComponentNfa(rng, weighted), designCustom(512, 16, 8));
+        const Nfa &nfa = m.nfa();
+        auto ctx = std::make_shared<const MatchContext>(m);
+        ASSERT_FALSE(ctx->denseAvailable());
+        ASSERT_EQ(ctx->numSlots(), nfa.numStates());
+        const std::vector<uint8_t> cold = coldBytes(rng);
+        const std::vector<uint8_t> input = randomInput(rng, 1500, cold);
+        const size_t cut = 1 + rng.below(input.size() - 1);
+
+        std::vector<ScoreSemiring> semirings = {ScoreSemiring::MaxPlus};
+        if (weighted)
+            semirings.push_back(ScoreSemiring::MinPlus);
+        for (ScoreSemiring sr : semirings) {
+            SCOPED_TRACE(testing::Message()
+                         << "trial " << trial << ", " << nfa.numStates()
+                         << " states, semiring " << semiringName(sr));
+            NfaEngine oracle(nfa, sr);
+            const std::vector<Report> expect = oracle.run(input);
+            ASSERT_FALSE(expect.empty());
+            std::vector<Score> end_scores;
+            for (StateId s : oracle.frontier())
+                end_scores.push_back(weighted ? oracle.stateScore(s) : 0);
+            if (!weighted)
+                end_scores.clear();
+            std::vector<Score> start_scores;
+            for (StateId s : ctx->startFrontier())
+                start_scores.push_back(
+                    static_cast<Score>(nfa.state(s).startWeight));
+            const Reference activity = referenceRun(
+                m, sr, ctx->startFrontier(), start_scores, 0, input);
+
+            auto options = [&](SimKernel k) {
+                MatchOptions o;
+                o.kernel = k;
+                o.semiring = sr;
+                o.autoBlockSymbols = 64;
+                return o;
+            };
+            for (SimKernel k : kKernels) {
+                MatchEngine eng(ctx, options(k));
+                eng.feed(input.data(), input.size());
+                EXPECT_EQ(eng.takeReports(), expect) << kernelName(k);
+                EXPECT_EQ(eng.frontier(), oracle.frontier()) << kernelName(k);
+                EXPECT_EQ(eng.frontierScores(), end_scores) << kernelName(k);
+
+                // A checkpoint at the cut, restored into a fresh engine.
+                MatchEngine head(ctx, options(k));
+                head.feed(input.data(), cut);
+                std::vector<Report> got = head.takeReports();
+                MatchEngine tail(ctx, options(k));
+                tail.restore(head.checkpoint());
+                tail.feed(input.data() + cut, input.size() - cut);
+                std::vector<Report> rest = tail.takeReports();
+                got.insert(got.end(), rest.begin(), rest.end());
+                EXPECT_EQ(got, expect) << kernelName(k) << " across the cut";
+
+                SimOptions so;
+                static_cast<MatchOptions &>(so) = options(k);
+                so.recordTrace = true;
+                SimResult r = CacheAutomatonSim(m, so).run(input);
+                EXPECT_EQ(r.reports, expect) << kernelName(k);
+                EXPECT_EQ(r.totalEnabledStates, activity.enabled)
+                    << kernelName(k);
+                EXPECT_EQ(r.trace, activity.trace) << kernelName(k);
+            }
+
+            // ParallelMatcher at degree 2: whole, and continued at the
+            // cut from the first call's frontier and scores.
+            ParallelOptions po;
+            po.degree = 2;
+            po.minChunkBytes = 64;
+            po.engine = options(SimKernel::Auto);
+            ParallelMatcher pm(ctx, po);
+            match::MatchResult whole = pm.match(input.data(), input.size());
+            EXPECT_EQ(whole.reports, expect);
+            EXPECT_EQ(whole.frontier, oracle.frontier());
+            EXPECT_EQ(whole.frontierScores, end_scores);
+            match::MatchResult head = pm.match(input.data(), cut);
+            match::MatchResult tail =
+                pm.match(head.frontier, head.frontierScores, cut,
+                         input.data() + cut, input.size() - cut);
+            head.reports.insert(head.reports.end(), tail.reports.begin(),
+                                tail.reports.end());
+            EXPECT_EQ(head.reports, expect) << "continued at the cut";
+            EXPECT_EQ(tail.frontier, oracle.frontier());
+            EXPECT_EQ(tail.frontierScores, end_scores);
         }
     }
 }

@@ -325,6 +325,51 @@ TEST(ScoredMatch, ParallelMatcherFallsBackToSerial)
                   oracle.stateScore(res.frontier[i]));
 }
 
+// A weighted stream continued through match(frontier, scores, offset, …)
+// in 16 KiB calls, each call handed the previous call's frontier and
+// frontierScores, is the uninterrupted stream: every report and score,
+// and the end frontier's scores, equal NfaEngine's.
+TEST(ScoredMatch, ParallelMatcherContinuesWithScores)
+{
+    BioPatternOptions opt;
+    opt.maxEdits = 2;
+    opt.score = BioScoreParams{2, -1, -2, -1};
+    BioWorkload w = makeBioWorkload(4, 12, opt, kDnaAlphabet, 0xC0471);
+    auto ctx = std::make_shared<MatchContext>(
+        std::make_shared<const MappedAutomaton>(mapPerformance(w.nfa)));
+    ASSERT_TRUE(ctx->scored());
+    const std::vector<uint8_t> input =
+        bioSampleInput(w, 128 << 10, 0.02, 0xC0472);
+    constexpr size_t kCall = 16 << 10;
+
+    for (ScoreSemiring sr : {ScoreSemiring::MaxPlus, ScoreSemiring::MinPlus}) {
+        SCOPED_TRACE(semiringName(sr));
+        NfaEngine oracle(w.nfa, sr);
+        const std::vector<Report> expect = oracle.run(input);
+        ASSERT_FALSE(expect.empty());
+
+        ParallelOptions popts;
+        popts.degree = 2;
+        popts.engine.semiring = sr;
+        ParallelMatcher matcher(ctx, popts);
+        MatchResult r = matcher.match(input.data(), kCall);
+        std::vector<Report> got = r.reports;
+        for (size_t pos = kCall; pos < input.size(); pos += kCall) {
+            ASSERT_EQ(r.endOffset, pos);
+            r = matcher.match(r.frontier, r.frontierScores, r.endOffset,
+                              input.data() + pos,
+                              std::min(kCall, input.size() - pos));
+            got.insert(got.end(), r.reports.begin(), r.reports.end());
+        }
+        EXPECT_EQ(got, expect);
+        EXPECT_EQ(r.frontier, oracle.frontier());
+        ASSERT_EQ(r.frontierScores.size(), r.frontier.size());
+        for (size_t i = 0; i < r.frontier.size(); ++i)
+            EXPECT_EQ(r.frontierScores[i], oracle.stateScore(r.frontier[i]))
+                << "state " << r.frontier[i];
+    }
+}
+
 // ------------------------------------------------------------ CAAF WGHT
 
 std::vector<uint8_t>
