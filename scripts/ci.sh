@@ -79,6 +79,8 @@ python3 perfbench/run.py --selftest >/dev/null
 # fails the step, because Prometheus rejects such a page. The scrape
 # uses bash's /dev/tcp so CI needs no curl/netcat.
 echo "=== ca_server stats endpoint + ca_top smoke ==="
+# An option the tool does not know is a usage error (exit status 2).
+rc=0; ./build/tools/ca_server --no-such-flag 2>/dev/null || rc=$?; [ "$rc" -eq 2 ]
 ./build/tools/ca_server --pattern 'cat|dog' --port 0 \
     --stats-port 0 >/tmp/ca_ci_obs_server.log 2>&1 &
 SERVER_PID=$!

@@ -99,10 +99,13 @@ MatchContext::buildSlots()
         if (mapped_.location(s).slot >= kSlotsPerPartition) {
             // A non-standard design geometry (partitions wider than
             // 256 STEs) falls back to state-id slots and the sparse
-            // kernel.
-            CA_WARN("match dense kernel unavailable: state "
-                    << s << " at slot " << mapped_.location(s).slot
-                    << " exceeds " << kSlotsPerPartition);
+            // kernel. Every context build of such a mapping gets here,
+            // so say it once per process.
+            static std::atomic<bool> warned{false};
+            if (!warned.exchange(true))
+                CA_WARN("match dense kernel unavailable: state "
+                        << s << " at slot " << mapped_.location(s).slot
+                        << " exceeds " << kSlotsPerPartition);
             dense_available_ = false;
         }
     }
@@ -140,8 +143,11 @@ MatchContext::buildTables()
     for (StateId s = 0; s < num_states_; ++s) {
         const NfaState &st = nfa.state(s);
         const uint32_t k = slot_of_[s];
-        if (st.start != StartType::None)
-            start_frontier_.push_back(s);
+        if (st.start != StartType::None) {
+            start_checkpoint_.enabledStates.push_back(s);
+            if (scored_)
+                start_checkpoint_.enabledScores.push_back(st.startWeight);
+        }
         if (st.start == StartType::AllInput)
             all_input_.push_back(s);
         report_id_[s] = st.reportId;
@@ -342,7 +348,7 @@ MatchContext::buildFrontiers()
     BitVector visited(num_states_);
     for (StateId s : all_input_)
         reached.setUnchecked(s);
-    std::vector<StateId> work = start_frontier_;
+    std::vector<StateId> work = start_checkpoint_.enabledStates;
     for (StateId s : work)
         visited.setUnchecked(s);
     for (size_t i = 0; i < work.size(); ++i) {
@@ -378,16 +384,7 @@ MatchEngine::MatchEngine(std::shared_ptr<const MatchContext> ctx,
 void
 MatchEngine::reset()
 {
-    if (!ctx_->scored()) {
-        setState(ctx_->startFrontier(), 0);
-        return;
-    }
-    // Scored automata start each state at its start weight.
-    std::vector<Score> scores;
-    scores.reserve(ctx_->startFrontier().size());
-    for (StateId s : ctx_->startFrontier())
-        scores.push_back(static_cast<Score>(ctx_->start_w_[s]));
-    setState(ctx_->startFrontier(), scores, 0);
+    restore(ctx_->startCheckpoint());
 }
 
 void

@@ -201,8 +201,10 @@ struct MatchOptions
  * semiring. Every kernel starts the next frontier as the byte class's
  * image and puts the frontier's matched edges on top.
  *
- *  - startFrontier(): the exact offset-0 frontier (StartOfData and
- *    AllInput start states).
+ *  - startCheckpoint(): the exact offset-0 state (StartOfData and
+ *    AllInput start states, at their start weights) that every engine,
+ *    session and whole-stream match begins from; startFrontier() is
+ *    its states.
  *  - reachableFrontier(): AllInput starts plus every state reachable
  *    through at least one transition from any start state — a superset
  *    of the true enabled frontier at *every* offset >= 1. Speculative
@@ -241,9 +243,10 @@ class MatchContext
     /** True when the bound automaton carries transition weights. */
     bool scored() const { return scored_; }
 
+    const SimCheckpoint &startCheckpoint() const { return start_checkpoint_; }
     const std::vector<StateId> &startFrontier() const
     {
-        return start_frontier_;
+        return start_checkpoint_.enabledStates;
     }
     const std::vector<StateId> &reachableFrontier() const
     {
@@ -330,7 +333,7 @@ class MatchContext
     std::vector<std::pair<uint32_t, uint64_t>> image_word_;
 
     // Precomputed frontier sets (sorted, deduplicated).
-    std::vector<StateId> start_frontier_;
+    SimCheckpoint start_checkpoint_;
     std::vector<StateId> reachable_frontier_;
 };
 

@@ -71,7 +71,7 @@ parseMatchParallel(std::string_view value)
 ParallelMatcher::ParallelMatcher(std::shared_ptr<const MatchContext> ctx,
                                  const ParallelOptions &opts)
     : ctx_(std::move(ctx)), opts_(opts),
-      join_engine_(ctx_, opts.engine), start_(join_engine_.checkpoint())
+      join_engine_(ctx_, opts.engine)
 {
     degree_ = opts_.degree == 0 ? hardwareDegree() : opts_.degree;
     if (degree_ < 1)
@@ -139,7 +139,8 @@ ParallelMatcher::runChunk(MatchEngine &eng, Chunk &c)
 MatchResult
 ParallelMatcher::match(const uint8_t *data, size_t size)
 {
-    return match(start_.enabledStates, start_.enabledScores, 0, data, size);
+    const SimCheckpoint &start = ctx_->startCheckpoint();
+    return match(start.enabledStates, start.enabledScores, 0, data, size);
 }
 
 MatchResult
@@ -188,8 +189,9 @@ ParallelMatcher::runSerial(MatchResult &out,
     join_engine_.setState(frontier, scores, offset);
     join_engine_.feed(data, size);
     out.reports = join_engine_.takeReports();
-    out.frontier = join_engine_.frontier();
-    out.frontierScores = join_engine_.frontierScores();
+    SimCheckpoint end = join_engine_.checkpoint();
+    out.frontier = std::move(end.enabledStates);
+    out.frontierScores = std::move(end.enabledScores);
     out.endOffset = offset + size;
 }
 

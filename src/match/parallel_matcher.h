@@ -105,8 +105,8 @@ class ParallelMatcher
     ParallelMatcher &operator=(const ParallelMatcher &) = delete;
 
     /**
-     * Matches a whole stream from offset 0, from a fresh engine's
-     * frontier and scores.
+     * Matches a whole stream from offset 0, from the context's
+     * startCheckpoint().
      */
     MatchResult match(const uint8_t *data, size_t size);
 
@@ -171,8 +171,6 @@ class ParallelMatcher
 
     /** The calling thread's engine: chunk 0, replays, serial calls. */
     MatchEngine join_engine_;
-    /** A fresh engine's checkpoint: where match(data, size) starts. */
-    const SimCheckpoint start_;
 
     std::mutex call_mu_; ///< Serializes match() calls.
 

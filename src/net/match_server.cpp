@@ -16,8 +16,9 @@ using Clock = std::chrono::steady_clock;
 
 /**
  * Per-connection state. The reader thread owns the protocol state
- * machine; the writer thread owns the socket's send side; simulation
- * workers reach the connection only through ConnectionSink/enqueueFrame.
+ * machine and the stream table; the writer thread owns the socket's
+ * send side; matching workers reach the connection only through its
+ * streams' StreamSinks and enqueueFrame.
  */
 struct MatchServer::Connection
 {
@@ -51,68 +52,40 @@ struct MatchServer::Connection
     bool isAdmin = false;
 
     /**
-     * Live client streamId -> {runtime session, owning epoch} (reader +
-     * stop()). Holding the epoch's shared_ptr here is what keeps a
-     * retired epoch alive until its last stream closes.
+     * Live client streamId -> StreamRef. Holding the epoch's shared_ptr
+     * here is what keeps a retired epoch alive until its last stream
+     * closes.
      */
-    std::mutex streams_mutex;
     std::map<uint32_t, StreamRef> streams;
-
-    std::unique_ptr<ConnectionSink> sink;
 
     /** Reader exited; connection is reapable. */
     std::atomic<bool> done{false};
 };
 
 /**
- * Bridges one connection's sessions back onto the wire: translates the
- * runtime's session ids to the client's stream ids and turns each
- * in-order report batch into REPORTS frames. Never blocks (report_sink.h
- * forbids it) — a consumer that cannot keep up trips the outgoing-queue
- * cap and is dropped instead.
+ * Carries one stream's reports onto the wire: turns each in-order
+ * report batch into REPORTS frames (SCORED_REPORTS when the automaton
+ * is weighted and the connection speaks v4) under the client's stream
+ * id. Never blocks (report_sink.h forbids it): a consumer that cannot
+ * keep up trips the outgoing-queue cap and is dropped instead.
  */
-class MatchServer::ConnectionSink final : public runtime::ReportSink
+class MatchServer::StreamSink final : public runtime::ReportSink
 {
   public:
-    ConnectionSink(MatchServer &server, Connection &conn)
-        : server_(server), conn_(conn)
+    StreamSink(MatchServer &server, Connection &conn, uint32_t client_id,
+               bool scored)
+        : server_(server), conn_(conn), client_id_(client_id),
+          // A v3 peer receives plain REPORTS with the same rows (scores
+          // elided), so the report set is independent of the version.
+          wire_scored_(scored && conn.version >= 4)
     {
     }
 
     void
-    registerStream(uint32_t runtime_id, uint32_t client_id, bool scored)
+    onReports(uint32_t, const Report *reports, size_t count) override
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ids_[runtime_id] = StreamIds{client_id, scored};
-    }
-
-    void
-    unregisterStream(uint32_t runtime_id)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ids_.erase(runtime_id);
-    }
-
-    void
-    onReports(uint32_t sessionId, const Report *reports,
-              size_t count) override
-    {
-        uint32_t client_id;
-        bool scored;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = ids_.find(sessionId);
-            if (it == ids_.end())
-                return; // stream already torn down
-            client_id = it->second.clientId;
-            scored = it->second.scored;
-        }
-        // Scored streams get SCORED_REPORTS only on v4 connections; a
-        // v3 peer receives plain REPORTS with the same rows (scores
-        // elided), so the report set is independent of the version.
-        const bool wire_scored = scored && conn_.version >= 4;
         const size_t row_bytes =
-            wire_scored ? kWireScoredReportBytes : kWireReportBytes;
+            wire_scored_ ? kWireScoredReportBytes : kWireReportBytes;
         size_t max_per_frame = std::min<size_t>(
             std::max<size_t>(server_.opts_.reportBatch, 1),
             (server_.opts_.maxFramePayload - 8) / row_bytes);
@@ -120,46 +93,36 @@ class MatchServer::ConnectionSink final : public runtime::ReportSink
             size_t n = std::min(max_per_frame, count - i);
             std::vector<uint8_t> frame;
             frame.reserve(kFrameHeaderBytes + 8 + n * row_bytes);
-            if (wire_scored)
-                appendScoredReports(frame, client_id, reports + i, n);
+            if (wire_scored_)
+                appendScoredReports(frame, client_id_, reports + i, n);
             else
-                appendReports(frame, client_id, reports + i, n);
+                appendReports(frame, client_id_, reports + i, n);
             server_.enqueueFrame(conn_, std::move(frame));
         }
-        {
-            std::lock_guard<std::mutex> lock(server_.stats_mutex_);
-            server_.stats_.reportsSent += count;
-            if (wire_scored)
-                server_.stats_.scoredReportsSent += count;
-        }
+        std::lock_guard<std::mutex> lock(server_.stats_mutex_);
+        server_.stats_.reportsSent += count;
+        if (wire_scored_)
+            server_.stats_.scoredReportsSent += count;
     }
 
   private:
-    struct StreamIds
-    {
-        uint32_t clientId = 0;
-        bool scored = false; ///< The stream's epoch automaton is weighted.
-    };
-
     MatchServer &server_;
     Connection &conn_;
-    std::mutex mutex_;
-    std::map<uint32_t, StreamIds> ids_;
+    const uint32_t client_id_;
+    const bool wire_scored_;
 };
 
 /**
- * One serving generation: an automaton, its fingerprint, a dedicated
- * StreamServer, and (lazily) the canonical CAAF bytes served to peers.
- * The current epoch takes every new stream; a retired epoch lives until
- * the connections' StreamRefs release it, then is reaped.
+ * One serving generation: its number, its automaton's fingerprint, a
+ * dedicated StreamServer (whose MatchContext holds the automaton), and
+ * (lazily) the canonical CAAF bytes served to peers. The current epoch
+ * takes every new stream; a retired epoch lives until the connections'
+ * StreamRefs release it, then is reaped.
  */
 struct MatchServer::EpochState
 {
     uint64_t epoch = 0;
     uint64_t fingerprint = 0;
-    /** Keeps a loaded automaton alive; null when bound by reference. */
-    std::shared_ptr<const MappedAutomaton> owned;
-    const MappedAutomaton *mapped = nullptr;
     std::unique_ptr<runtime::StreamServer> stream;
 
     /** Replication-serving bytes, packed on first demand. */
@@ -171,21 +134,16 @@ struct MatchServer::EpochState
     bytes()
     {
         std::lock_guard<std::mutex> lock(bytes_mutex);
-        if (!artifactBytes)
+        if (!artifactBytes) {
+            const MappedAutomaton &m = stream->mapped();
             artifactBytes = std::make_shared<const std::vector<uint8_t>>(
-                persist::packArtifact(*mapped, buildConfigImage(*mapped)));
+                persist::packArtifact(m, buildConfigImage(m)));
+        }
         return artifactBytes;
     }
 };
 
 namespace {
-
-const MappedAutomaton &
-requireAutomaton(const std::shared_ptr<const MappedAutomaton> &mapped)
-{
-    CA_FATAL_IF(!mapped, "MatchServer: null mapped automaton");
-    return *mapped;
-}
 
 void
 accumulate(runtime::ServerStats &into, const runtime::ServerStats &s)
@@ -202,9 +160,24 @@ accumulate(runtime::ServerStats &into, const runtime::ServerStats &s)
 
 MatchServer::MatchServer(const MappedAutomaton &mapped,
                          const MatchServerOptions &opts)
-    : opts_(opts)
+    : opts_(opts), current_(std::make_shared<EpochState>())
 {
     CA_TRACE_SCOPE_CAT("ca.net.server_start", "ca.net");
+    startServing(std::make_unique<runtime::StreamServer>(mapped, opts.stream));
+}
+
+MatchServer::MatchServer(std::shared_ptr<const MappedAutomaton> mapped,
+                         const MatchServerOptions &opts)
+    : opts_(opts), current_(std::make_shared<EpochState>())
+{
+    CA_TRACE_SCOPE_CAT("ca.net.server_start", "ca.net");
+    startServing(std::make_unique<runtime::StreamServer>(std::move(mapped),
+                                                         opts.stream));
+}
+
+void
+MatchServer::startServing(std::unique_ptr<runtime::StreamServer> first)
+{
     opts_.maxFramePayload =
         std::min(std::max(opts_.maxFramePayload, 64u), kMaxFramePayload);
     if (opts_.maxConnections == 0)
@@ -212,15 +185,9 @@ MatchServer::MatchServer(const MappedAutomaton &mapped,
     if (opts_.maxStreamsPerConnection == 0)
         opts_.maxStreamsPerConnection = 1;
 
-    auto first = std::make_shared<EpochState>();
-    first->epoch = next_epoch_++;
-    first->mapped = &mapped;
-    first->fingerprint = persist::artifactFingerprint(mapped);
-    first->stream =
-        std::make_unique<runtime::StreamServer>(mapped, opts_.stream);
-    fingerprint_.store(first->fingerprint);
-    epoch_no_.store(first->epoch);
-    current_ = std::move(first);
+    current_->epoch = next_epoch_++;
+    current_->fingerprint = persist::artifactFingerprint(first->mapped());
+    current_->stream = std::move(first);
 
     listener_ = listenTcp(opts_.bindAddress, opts_.port);
     port_ = localPort(listener_);
@@ -235,14 +202,6 @@ MatchServer::MatchServer(const MappedAutomaton &mapped,
         admin_accept_thread_ =
             std::thread([this] { acceptLoop(admin_listener_, true); });
     }
-}
-
-MatchServer::MatchServer(std::shared_ptr<const MappedAutomaton> mapped,
-                         const MatchServerOptions &opts)
-    : MatchServer(requireAutomaton(mapped), opts)
-{
-    std::lock_guard<std::mutex> lock(epoch_mutex_);
-    current_->owned = std::move(mapped);
 }
 
 std::unique_ptr<MatchServer>
@@ -306,6 +265,25 @@ MatchServer::stop()
     });
 }
 
+std::shared_ptr<MatchServer::EpochState>
+MatchServer::serving() const
+{
+    std::lock_guard<std::mutex> lock(epoch_mutex_);
+    return current_;
+}
+
+uint64_t
+MatchServer::fingerprint() const
+{
+    return serving()->fingerprint;
+}
+
+uint64_t
+MatchServer::epoch() const
+{
+    return serving()->epoch;
+}
+
 NetServerStats
 MatchServer::stats() const
 {
@@ -355,19 +333,15 @@ MatchServer::swap(std::shared_ptr<const MappedAutomaton> automaton,
 
     auto next = std::make_shared<EpochState>();
     next->fingerprint = r.newFingerprint;
-    next->mapped = automaton.get();
-    next->owned = std::move(automaton);
     next->artifactBytes = std::move(artifactBytes);
-    next->stream = std::make_unique<runtime::StreamServer>(next->owned,
-                                                           opts_.stream);
+    next->stream = std::make_unique<runtime::StreamServer>(
+        std::move(automaton), opts_.stream);
     {
         std::lock_guard<std::mutex> lock(epoch_mutex_);
         next->epoch = next_epoch_++;
         r.epoch = next->epoch;
         retired_.push_back(std::move(current_));
         current_ = std::move(next);
-        fingerprint_.store(current_->fingerprint);
-        epoch_no_.store(current_->epoch);
     }
     r.swapped = true;
     {
@@ -539,10 +513,10 @@ MatchServer::statsSnapshot(uint64_t token, uint32_t sections) const
                 t.artifactChunksServed = stats_.artifactChunksServed;
                 t.artifactBytesServed = stats_.artifactBytesServed;
             }
-            t.epoch = epoch_no_.load();
-            t.automatonFp = fingerprint_.load();
+            t.epoch = epochs[0]->epoch;
+            t.automatonFp = epochs[0]->fingerprint;
             t.automatonWeighted =
-                epochs[0]->mapped->nfa().hasWeights() ? 1 : 0;
+                epochs[0]->stream->mapped().nfa().hasWeights() ? 1 : 0;
             t.epochsDraining = static_cast<uint64_t>(draining);
             t.sessionsOpened = totals.sessionsOpened;
             t.sessionsClosed = totals.sessionsClosed;
@@ -596,7 +570,6 @@ MatchServer::acceptLoop(SocketFd &listener, bool admin)
         conn->id = next_conn_id_++;
         conn->fd = std::move(fd);
         conn->isAdmin = admin;
-        conn->sink = std::make_unique<ConnectionSink>(*this, *conn);
         active_.fetch_add(1);
         {
             std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -679,9 +652,10 @@ MatchServer::writerLoop(Connection &c)
         }
         if (!sendAll(c.fd.get(), frame.data(), frame.size(),
                      opts_.writeTimeoutMs)) {
-            c.failed.store(true);
-            c.fd.shutdown(SHUT_RDWR); // unblock the reader's poll
-            {
+            // A send cut short by a slow-consumer drop, which already
+            // shut the socket down, is not a write timeout.
+            if (!c.failed.exchange(true)) {
+                c.fd.shutdown(SHUT_RDWR); // unblock the reader's poll
                 std::lock_guard<std::mutex> lock(stats_mutex_);
                 ++stats_.writeTimeouts;
             }
@@ -706,25 +680,27 @@ MatchServer::failConnection(Connection &c, ErrorCode code,
     c.ending = true;
 }
 
+runtime::SessionStats
+MatchServer::closeStream(StreamRef &ref)
+{
+    ref.session->close(); // drains queued input; reports still flow
+    runtime::SessionStats st = ref.session->stats();
+    ref.epoch->stream->release(*ref.session);
+    {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_.streamsClosed;
+    }
+    return st;
+}
+
 void
 MatchServer::closeConnectionStreams(Connection &c)
 {
-    // The swapped-out map keeps each StreamRef's epoch reference alive
-    // through close(): a reap pass cannot destroy an epoch whose session
-    // is still draining here.
-    std::map<uint32_t, StreamRef> streams;
-    {
-        std::lock_guard<std::mutex> lock(c.streams_mutex);
-        streams.swap(c.streams);
-    }
-    for (auto &[client_id, ref] : streams) {
-        ref.session->close(); // drains queued input; reports still flow
-        c.sink->unregisterStream(ref.session->id());
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.streamsClosed;
-        }
-    }
+    // Each StreamRef keeps its epoch referenced through close(): a reap
+    // pass cannot destroy an epoch whose session is still draining here.
+    for (auto &[client_id, ref] : c.streams)
+        closeStream(ref);
+    c.streams.clear();
 }
 
 bool
@@ -746,7 +722,8 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
             return false;
         }
         c.version = f.version;
-        if (f.fingerprint != 0 && f.fingerprint != fingerprint_.load()) {
+        const uint64_t served = fingerprint();
+        if (f.fingerprint != 0 && f.fingerprint != served) {
             failConnection(c, ErrorCode::FingerprintMismatch,
                            kConnectionStream,
                            "served automaton fingerprint differs");
@@ -755,7 +732,7 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
         std::vector<uint8_t> reply;
         // Echo the negotiated version so older clients' equality checks
         // keep passing.
-        appendHello(reply, fingerprint_.load(), c.version);
+        appendHello(reply, served, c.version);
         enqueueFrame(c, std::move(reply));
         c.helloDone = true;
         return true;
@@ -769,15 +746,6 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
 
       case FrameType::OpenStream: {
         CA_TRACE_SCOPE_CAT("ca.net.open_stream", "ca.net");
-        // Pin the serving epoch first: a swap between here and the open
-        // just means this stream rides the (now retired) epoch it
-        // grabbed, which is exactly the drain semantics.
-        std::shared_ptr<EpochState> epoch;
-        {
-            std::lock_guard<std::mutex> lock(epoch_mutex_);
-            epoch = current_;
-        }
-        std::lock_guard<std::mutex> lock(c.streams_mutex);
         if (c.streams.count(f.streamId)) {
             failConnection(c, ErrorCode::DuplicateStream, f.streamId,
                            "stream id already open");
@@ -788,12 +756,16 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
                            "per-connection stream limit reached");
             return false;
         }
-        runtime::StreamSession &session = epoch->stream->open(*c.sink);
-        // Register the id mapping before any DATA can produce reports.
-        c.sink->registerStream(session.id(), f.streamId,
-                               epoch->mapped->nfa().hasWeights());
-        c.streams.emplace(f.streamId,
-                          StreamRef{&session, std::move(epoch)});
+        // Pin the serving epoch first: a swap between here and the open
+        // just means this stream rides the (now retired) epoch it
+        // grabbed, which is exactly the drain semantics.
+        StreamRef ref;
+        ref.epoch = serving();
+        ref.sink = std::make_unique<StreamSink>(
+            *this, c, f.streamId,
+            ref.epoch->stream->mapped().nfa().hasWeights());
+        ref.session = &ref.epoch->stream->open(*ref.sink);
+        c.streams.emplace(f.streamId, std::move(ref));
         {
             std::lock_guard<std::mutex> slock(stats_mutex_);
             ++stats_.streamsOpened;
@@ -802,14 +774,8 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
       }
 
       case FrameType::Data: {
-        runtime::StreamSession *session = nullptr;
-        {
-            std::lock_guard<std::mutex> lock(c.streams_mutex);
-            auto it = c.streams.find(f.streamId);
-            if (it != c.streams.end())
-                session = it->second.session;
-        }
-        if (!session) {
+        auto it = c.streams.find(f.streamId);
+        if (it == c.streams.end()) {
             failConnection(c, ErrorCode::UnknownStream, f.streamId,
                            "DATA for a stream that is not open");
             return false;
@@ -817,20 +783,14 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
         // Blocking submit is the backpressure path: a full session
         // queue parks this reader, the kernel receive buffer fills,
         // and TCP flow control stalls the client.
-        session->submit(f.data.data(), f.data.size());
+        it->second.session->submit(f.data.data(), f.data.size());
         return true;
       }
 
       case FrameType::Flush: {
         CA_TRACE_SCOPE_CAT("ca.net.flush", "ca.net");
-        runtime::StreamSession *session = nullptr;
-        {
-            std::lock_guard<std::mutex> lock(c.streams_mutex);
-            auto it = c.streams.find(f.streamId);
-            if (it != c.streams.end())
-                session = it->second.session;
-        }
-        if (!session) {
+        auto it = c.streams.find(f.streamId);
+        if (it == c.streams.end()) {
             failConnection(c, ErrorCode::UnknownStream, f.streamId,
                            "FLUSH for a stream that is not open");
             return false;
@@ -838,7 +798,7 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
         // flush() returns only after every prior chunk's reports went
         // through the sink — i.e. the REPORTS frames are already queued
         // ahead of this acknowledgement on the single writer queue.
-        session->flush();
+        it->second.session->flush();
         std::vector<uint8_t> ack;
         appendFlush(ack, f.streamId, f.flushToken);
         enqueueFrame(c, std::move(ack));
@@ -847,33 +807,20 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
 
       case FrameType::CloseStream: {
         CA_TRACE_SCOPE_CAT("ca.net.close_stream", "ca.net");
-        // Move the ref out whole: its epoch stays referenced through
-        // close(), so the reaper can never free the epoch under a
-        // session that is still draining.
-        StreamRef ref;
-        {
-            std::lock_guard<std::mutex> lock(c.streams_mutex);
-            auto it = c.streams.find(f.streamId);
-            if (it != c.streams.end()) {
-                ref = std::move(it->second);
-                c.streams.erase(it);
-            }
-        }
-        if (!ref.session) {
+        auto it = c.streams.find(f.streamId);
+        if (it == c.streams.end()) {
             failConnection(c, ErrorCode::UnknownStream, f.streamId,
                            "CLOSE_STREAM for a stream that is not open");
             return false;
         }
-        ref.session->close();
-        c.sink->unregisterStream(ref.session->id());
-        runtime::SessionStats st = ref.session->stats();
+        // The ref keeps its epoch referenced through close(), so the
+        // reaper can never free the epoch under a session that is still
+        // draining. The session is freed before the ack goes out.
+        runtime::SessionStats st = closeStream(it->second);
+        c.streams.erase(it);
         std::vector<uint8_t> ack;
         appendCloseStream(ack, f.streamId, st.symbols, st.reports);
         enqueueFrame(c, std::move(ack));
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.streamsClosed;
-        }
         return true;
       }
 
@@ -976,9 +923,10 @@ MatchServer::dispatchFrame(Connection &c, Frame &&f)
                 ++stats_.swapsFailed;
             }
             CA_WARN("net: swap failed: " << e.what());
+            std::shared_ptr<EpochState> kept = serving();
             appendSwapReply(reply, f.flushToken, SwapStatus::Failed,
-                            fingerprint_.load(), fingerprint_.load(),
-                            epoch_no_.load(), e.what());
+                            kept->fingerprint, kept->fingerprint,
+                            kept->epoch, e.what());
         }
         enqueueFrame(c, std::move(reply));
         return true;

@@ -9,7 +9,12 @@
  * onto the network as:
  *
  *   accept loop ── per-connection reader thread ──> StreamServer
- *                  per-connection writer thread <── ConnectionSink
+ *                  per-connection writer thread <── one sink per stream
+ *
+ * An open stream is one StreamRef in its connection's stream table,
+ * which only the reader thread touches. Closing the stream (CLOSE_STREAM
+ * or teardown) drains its session, then frees it with
+ * StreamServer::release(), so a server holds only its open streams.
  *
  * Robustness semantics (docs/NET.md, tests/net_test.cpp):
  *  - Admission control: connections over `maxConnections` receive
@@ -180,10 +185,10 @@ class MatchServer
     uint16_t adminPort() const { return admin_port_; }
 
     /** The *currently serving* automaton's HELLO fingerprint. */
-    uint64_t fingerprint() const { return fingerprint_.load(); }
+    uint64_t fingerprint() const;
 
     /** The serving epoch number (1 at start, +1 per completed swap). */
-    uint64_t epoch() const { return epoch_no_.load(); }
+    uint64_t epoch() const;
 
     /** Outcome of a swap() call. */
     struct SwapResult
@@ -244,15 +249,22 @@ class MatchServer
 
   private:
     struct Connection;
-    class ConnectionSink;
+    class StreamSink;
     struct EpochState;
 
-    /** One open stream: its runtime session + the epoch that owns it. */
+    /** One open stream: its sink, its session, and the owning epoch. */
     struct StreamRef
     {
+        std::unique_ptr<StreamSink> sink;
         runtime::StreamSession *session = nullptr;
         std::shared_ptr<EpochState> epoch;
     };
+
+    /** Both constructors: makes @p first epoch 1's server, then listens. */
+    void startServing(std::unique_ptr<runtime::StreamServer> first);
+
+    /** The serving epoch (current_, read under epoch_mutex_). */
+    std::shared_ptr<EpochState> serving() const;
 
     void acceptLoop(SocketFd &listener, bool admin);
     void readerLoop(Connection &c);
@@ -268,7 +280,10 @@ class MatchServer
     void failConnection(Connection &c, ErrorCode code, uint32_t streamId,
                         const std::string &message);
 
-    /** close()s every stream the connection still has open. */
+    /** Drains and frees @p ref's session; returns its final stats. */
+    runtime::SessionStats closeStream(StreamRef &ref);
+
+    /** closeStream()s every stream the connection still has open. */
     void closeConnectionStreams(Connection &c);
 
     void reapFinishedConnections();
@@ -302,8 +317,6 @@ class MatchServer
     runtime::ServerStats reaped_totals_;
     uint64_t next_epoch_ = 1;
     std::mutex swap_mutex_;
-    std::atomic<uint64_t> fingerprint_{0}; ///< Mirror of current_.
-    std::atomic<uint64_t> epoch_no_{0};    ///< Mirror of current_.
 
     SocketFd listener_;
     uint16_t port_ = 0;

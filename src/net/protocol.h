@@ -155,8 +155,8 @@ enum class ErrorCode : uint16_t {
     DuplicateStream = 6,     ///< OPEN_STREAM reusing a live id.
     StreamLimit = 7,         ///< Per-connection stream cap reached.
     IdleTimeout = 8,         ///< No frame within the idle window.
-    SlowConsumer = 9,        ///< Client not draining REPORTS: teardown.
-    Shutdown = 10,           ///< Server is draining for shutdown.
+    SlowConsumer = 9,        ///< Reserved: a slow consumer gets no frame.
+    Shutdown = 10,           ///< Reserved: a stopping server says GOODBYE.
     PermissionDenied = 11,   ///< SWAP outside the admin plane: teardown.
     ArtifactUnavailable = 12, ///< FETCH for a fingerprint not held here.
 };

@@ -53,13 +53,10 @@ StreamServer::StreamServer(std::shared_ptr<const match::MatchContext> ctx,
     for (size_t i = 0; i < opts_.workers; ++i)
         engines_.push_back(
             std::make_unique<match::MatchEngine>(ctx_, opts_.sim));
-    // A fresh engine holds the start frontier (with each start state's
-    // startWeight on weighted automata): every new session's state.
-    initial_checkpoint_ = engines_.front()->checkpoint();
 
-    // The ParallelMatcher hands state between chunks as a bare frontier;
-    // that drops accumulated scores, so weighted automata stay on the
-    // per-worker serial engines (whose checkpoints carry scores).
+    // The ParallelMatcher runs a weighted automaton serially, under its
+    // call lock (speculation cannot certify scores), so it would only
+    // serialize the workers: weighted automata stay on their engines.
     if (opts_.matchParallelism > 1 && !ctx_->scored()) {
         match::ParallelOptions popts;
         popts.degree = opts_.matchParallelism;
@@ -91,29 +88,21 @@ StreamSession &
 StreamServer::open(ReportSink &sink)
 {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions_.emplace_back(std::unique_ptr<StreamSession>(
-        new StreamSession(*this, next_session_id_++, sink)));
-    sessions_.back()->checkpoint_ = initial_checkpoint_;
+    const uint32_t id = next_session_id_++;
+    std::unique_ptr<StreamSession> &session = sessions_[id];
+    session.reset(new StreamSession(*this, id, sink));
+    session->checkpoint_ = ctx_->startCheckpoint();
     ++stats_.sessionsOpened;
-    return *sessions_.back();
+    return *session;
 }
 
 StreamSession &
 StreamServer::open(ReportSink &sink, const SimCheckpoint &resume_from)
 {
-    // Validate here, on the caller's thread: a checkpoint the engine
-    // rejects would otherwise throw on a worker thread at the first
-    // slice, where nothing can catch it.
-    for (StateId s : resume_from.enabledStates)
-        CA_FATAL_IF(s >= ctx_->numStates(),
-                    "resume checkpoint references state "
-                        << s << " outside automaton");
-    CA_FATAL_IF(!resume_from.enabledScores.empty() &&
-                    resume_from.enabledScores.size() !=
-                        resume_from.enabledStates.size(),
-                "resume checkpoint has "
-                    << resume_from.enabledStates.size() << " states but "
-                    << resume_from.enabledScores.size() << " scores");
+    // Check here, on the caller's thread, by the engine's own rules: a
+    // checkpoint the engine rejects would otherwise throw on a worker
+    // thread at the first slice, where nothing can catch it.
+    match::MatchEngine(ctx_, opts_.sim).restore(resume_from);
     StreamSession &session = open(sink);
     // No worker has seen the session yet, so its suspended state can be
     // seeded without locking.
@@ -122,12 +111,24 @@ StreamServer::open(ReportSink &sink, const SimCheckpoint &resume_from)
 }
 
 void
+StreamServer::release(StreamSession &session)
+{
+    CA_FATAL_IF(!session.closed(),
+                "release() of session " << session.id() << " before close()");
+    std::lock_guard<std::mutex> lock(sessions_mutex_);
+    auto it = sessions_.find(session.id());
+    CA_FATAL_IF(it == sessions_.end() || it->second.get() != &session,
+                "release() of a session this server does not hold");
+    sessions_.erase(it);
+}
+
+void
 StreamServer::closeAll()
 {
     std::vector<StreamSession *> to_close;
     {
         std::lock_guard<std::mutex> lock(sessions_mutex_);
-        for (auto &s : sessions_)
+        for (auto &[id, s] : sessions_)
             to_close.push_back(s.get());
     }
     for (StreamSession *s : to_close)
@@ -146,15 +147,7 @@ ServerInspect
 StreamServer::inspect() const
 {
     ServerInspect out;
-    std::vector<StreamSession *> sessions;
-    {
-        std::lock_guard<std::mutex> lock(sessions_mutex_);
-        out.totals = stats_;
-        out.workers = workers_.size();
-        sessions.reserve(sessions_.size());
-        for (const auto &s : sessions_)
-            sessions.push_back(s.get());
-    }
+    out.workers = workers_.size();
     out.kernels.reserve(engines_.size());
     for (const auto &engine : engines_)
         out.kernels.push_back(engine->kernelStats());
@@ -162,11 +155,12 @@ StreamServer::inspect() const
         out.matchParallelism = matcher_->degree();
         out.match = matcher_->stats();
     }
-    // Session addresses are stable for the server's lifetime, so their
-    // mutexes can be taken outside sessions_mutex_ (no nesting, no lock
-    // ordering to get wrong).
-    out.sessions.reserve(sessions.size());
-    for (StreamSession *s : sessions)
+    // release() frees sessions under sessions_mutex_, so hold it across
+    // the live() reads; no path takes a session's mutex before it.
+    std::lock_guard<std::mutex> lock(sessions_mutex_);
+    out.totals = stats_;
+    out.sessions.reserve(sessions_.size());
+    for (const auto &[id, s] : sessions_)
         out.sessions.push_back(s->live());
     return out;
 }

@@ -35,6 +35,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -107,7 +108,7 @@ struct ServerInspect
 {
     ServerStats totals;
     size_t workers = 0;
-    /** Every session the server has opened (closed ones included). */
+    /** Every session the server holds (closed ones until release()). */
     std::vector<SessionLiveStats> sessions;
     /** One entry per worker, indexed by worker id. */
     std::vector<KernelDecisionStats> kernels;
@@ -149,8 +150,9 @@ class StreamServer
     StreamServer &operator=(const StreamServer &) = delete;
 
     /**
-     * Opens a new session reporting into @p sink. The sink must outlive
-     * the session; the returned session lives until the server dies.
+     * Opens a new session at the context's startCheckpoint(), reporting
+     * into @p sink, which must outlive the session's close(). The session
+     * lives until release() or the server's destruction.
      */
     StreamSession &open(ReportSink &sink);
 
@@ -159,13 +161,20 @@ class StreamServer
      * the first slice restore()s @p resume_from instead of resetting,
      * so report offsets continue the original stream's numbering. The
      * checkpoint must come from the same mapped automaton.
-     * @throws CaError when @p resume_from names a state outside the
-     * automaton or carries scores that are not parallel to its states.
+     * @throws CaError when a scratch engine's restore() rejects it (a
+     * state outside the automaton, scores not parallel to the states).
      */
     StreamSession &open(ReportSink &sink,
                         const SimCheckpoint &resume_from);
 
-    /** close() on every session still open. */
+    /**
+     * Frees @p session after its close() returned: it leaves inspect(),
+     * its counts stay in stats(). Must not race closeAll().
+     * @throws CaError when @p session is open or not this server's.
+     */
+    void release(StreamSession &session);
+
+    /** close() on every session still held. */
     void closeAll();
 
     size_t workerCount() const { return workers_.size(); }
@@ -182,7 +191,7 @@ class StreamServer
     match::ParallelMatcher *parallelMatcher() { return matcher_.get(); }
 
     /**
-     * Live snapshot of totals, every session, and per-worker kernel
+     * Live snapshot of totals, every session held, and per-worker kernel
      * decisions. Safe to call concurrently with running traffic (takes
      * each session's mutex briefly; kernel counters are relaxed
      * atomics). Must not race the server's destructor.
@@ -211,8 +220,6 @@ class StreamServer
      */
     std::shared_ptr<const match::MatchContext> ctx_;
     StreamServerOptions opts_;
-    /** Every session's first state: offset 0, the start frontier. */
-    SimCheckpoint initial_checkpoint_;
 
     /**
      * Chunk-parallel matching (null when disabled): one ParallelMatcher
@@ -228,9 +235,9 @@ class StreamServer
     std::deque<StreamSession *> run_queue_;
     bool stopping_ = false;
 
-    // Sessions (owned; stable addresses — workers hold raw pointers).
+    // Sessions by id (owned; stable addresses until release()).
     mutable std::mutex sessions_mutex_;
-    std::vector<std::unique_ptr<StreamSession>> sessions_;
+    std::map<uint32_t, std::unique_ptr<StreamSession>> sessions_;
     uint32_t next_session_id_ = 0;
 
     ServerStats stats_; ///< Guarded by sessions_mutex_.

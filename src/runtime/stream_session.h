@@ -66,8 +66,9 @@ struct SessionLiveStats
 
 /**
  * Handle to one open stream. Created by StreamServer::open() and owned
- * by the server; valid until the server is destroyed. Lifecycle:
- * open → submit()* → [flush()]* → close().
+ * by the server; valid until StreamServer::release() or the server's
+ * destruction. Lifecycle: open → submit()* → [flush()]* → close() →
+ * [release()].
  */
 class StreamSession
 {
@@ -176,8 +177,8 @@ class StreamSession
     bool suspended_ = false;
 
     /**
-     * Suspended automaton state (§2.9), seeded with the automaton's
-     * start frontier at open(). Between slices only suspend() reads it;
+     * Suspended automaton state (§2.9), seeded at open() with the
+     * context's startCheckpoint(). Between slices only suspend() reads it;
      * while Running only the owning worker touches it (handoff between
      * workers is ordered by the scheduler and session mutexes).
      */

@@ -983,15 +983,109 @@ TEST(NetE2E, StatsPollMidLoadSeesMonotoneCounters)
     client.closeStream(id);
     client.close();
 
-    // After the stream closes, its row flips to closed but survives.
+    // After the stream closes, its session is freed: no row, but the
+    // totals still count it.
     net::StatsReplyBody post = watcher.requestStats();
-    ASSERT_EQ(post.sessions.size(), 1u);
-    EXPECT_TRUE(post.sessions[0].closed);
+    EXPECT_TRUE(post.sessions.empty());
     EXPECT_EQ(post.totals.sessionsClosed, 1u);
 
     watcher.close();
     server.stop();
     EXPECT_EQ(server.stats().protocolErrors, 0u);
+}
+
+/**
+ * A closed stream's session is freed: a thousand streams opened and
+ * closed on one connection leave no session row behind, and the totals
+ * still count every one of them.
+ */
+TEST(NetE2E, ClosedStreamsFreeTheirSessions)
+{
+    MappedAutomaton &m = sampleMapped();
+    MatchServer server(m);
+    MatchClient client;
+    client.connect("127.0.0.1", server.port());
+
+    const std::string text = "the cat chased the dog";
+    const std::vector<uint8_t> input(text.begin(), text.end());
+    const std::vector<Report> expect = oracleReports(m, input);
+    for (int i = 0; i < 1000; ++i) {
+        uint32_t id = client.openStream();
+        client.send(id, input);
+        net::StreamSummary sum = client.closeStream(id);
+        ASSERT_EQ(sum.symbols, input.size());
+        ASSERT_EQ(client.takeReports(id), expect);
+    }
+
+    net::StatsReplyBody b = client.requestStats();
+    EXPECT_TRUE(b.sessions.empty());
+    EXPECT_EQ(b.totals.sessionsOpened, 1000u);
+    EXPECT_EQ(b.totals.sessionsClosed, 1000u);
+    EXPECT_EQ(b.totals.streamsClosed, 1000u);
+    client.close();
+    server.stop();
+}
+
+/**
+ * A client that never reads its REPORTS is dropped once its outgoing
+ * queue passes maxOutgoingBytes, and only that connection: another
+ * client on the same server finishes its stream with exact reports.
+ */
+TEST(NetRobustness, SlowConsumerIsDroppedOthersKeepWorking)
+{
+    MappedAutomaton &m = sampleMapped();
+    MatchServerOptions opts;
+    opts.maxOutgoingBytes = 256u << 10;
+    // The drop must come from the queue cap, not a stalled write.
+    opts.writeTimeoutMs = 60'000;
+    MatchServer server(m, opts);
+
+    MatchClient good;
+    good.connect("127.0.0.1", server.port());
+    uint32_t good_id = good.openStream();
+    auto input = sampleInput(16 << 10, 0x510);
+    good.send(good_id, input.data(), input.size() / 2);
+    good.flush(good_id);
+
+    // "m" then nothing but "n": `m.*n` reports on every byte, so each
+    // input byte owes the client a 16-byte report row it never reads.
+    net::SocketFd fd = net::connectTcp("127.0.0.1", server.port(), 2000);
+    std::vector<uint8_t> bytes;
+    net::appendHello(bytes, 0);
+    net::appendOpenStream(bytes, 1);
+    const std::vector<uint8_t> first(1, 'm');
+    net::appendData(bytes, 1, first.data(), first.size());
+    ASSERT_TRUE(net::sendAll(fd.get(), bytes.data(), bytes.size(), 2000));
+    const std::vector<uint8_t> body(16 << 10, 'n');
+    std::vector<uint8_t> frame;
+    net::appendData(frame, 1, body.data(), body.size());
+    // Far more report bytes than the kernel's socket buffers and the
+    // queue cap hold together.
+    for (int i = 0; i < 1024 && server.stats().slowConsumerDrops == 0; ++i)
+        if (!net::sendAll(fd.get(), frame.data(), frame.size(), 5000))
+            break; // the server already dropped us
+    for (int i = 0; i < 200 && server.stats().slowConsumerDrops == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(server.stats().slowConsumerDrops, 1u);
+
+    // The dropped connection ends: whatever was buffered, then EOF or
+    // a reset.
+    bool closed = false;
+    uint8_t buf[64 << 10];
+    for (int i = 0; i < 300 && !closed; ++i) {
+        long n = net::recvSome(fd.get(), buf, sizeof buf, 100);
+        closed = n == 0 || n == -2;
+    }
+    EXPECT_TRUE(closed);
+
+    good.send(good_id, input.data() + input.size() / 2,
+              input.size() - input.size() / 2);
+    good.closeStream(good_id);
+    EXPECT_EQ(good.takeReports(good_id), oracleReports(m, input));
+    good.close();
+    server.stop();
+    EXPECT_EQ(server.stats().slowConsumerDrops, 1u);
+    EXPECT_EQ(server.stats().writeTimeouts, 0u);
 }
 
 /** A client that sends a server-only STATS_REPLY is a protocol error. */

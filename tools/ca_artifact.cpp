@@ -27,12 +27,12 @@
  */
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "baseline/nfa_engine.h"
+#include "cli.h"
 #include "cluster/replication.h"
 #include "core/error.h"
 #include "core/rng.h"
@@ -64,72 +64,8 @@ usage()
     return 2;
 }
 
-struct Args
-{
-    std::vector<std::string> positional;
-    std::vector<std::pair<std::string, std::string>> options;
-
-    std::string
-    opt(const std::string &name, const std::string &fallback = {}) const
-    {
-        for (const auto &[k, v] : options)
-            if (k == name)
-                return v;
-        return fallback;
-    }
-
-    std::vector<std::string>
-    optAll(const std::string &name) const
-    {
-        std::vector<std::string> out;
-        for (const auto &[k, v] : options)
-            if (k == name)
-                out.push_back(v);
-        return out;
-    }
-};
-
-Args
-parseArgs(int argc, char **argv, int start)
-{
-    Args args;
-    for (int i = start; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--", 0) == 0) {
-            std::string key = a.substr(2);
-            std::string value;
-            size_t eq = key.find('=');
-            if (eq != std::string::npos) {
-                value = key.substr(eq + 1);
-                key = key.substr(0, eq);
-            } else if (i + 1 < argc) {
-                value = argv[++i];
-            }
-            args.options.emplace_back(key, value);
-        } else {
-            args.positional.push_back(a);
-        }
-    }
-    return args;
-}
-
-std::vector<std::string>
-readRulesFile(const std::string &path)
-{
-    std::ifstream is(path);
-    CA_FATAL_IF(!is, "cannot open rules file " << path);
-    std::vector<std::string> rules;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (!line.empty() && line[0] != '#')
-            rules.push_back(line);
-    }
-    CA_FATAL_IF(rules.empty(), "no rules in " << path);
-    return rules;
-}
-
 int
-cmdPack(const Args &args)
+cmdPack(const cli::Args &args)
 {
     std::string out = args.opt("out");
     if (out.empty()) {
@@ -154,7 +90,7 @@ cmdPack(const Args &args)
         if (label.empty())
             label = b.name;
     } else if (!args.opt("rules").empty()) {
-        nfa = compileRuleset(readRulesFile(args.opt("rules")));
+        nfa = compileRuleset(cli::readRulesFile(args.opt("rules")));
         if (label.empty())
             label = args.opt("rules");
     } else if (!args.optAll("pattern").empty()) {
@@ -181,7 +117,7 @@ cmdPack(const Args &args)
 }
 
 int
-cmdInspect(const Args &args)
+cmdInspect(const cli::Args &args)
 {
     if (args.positional.empty()) {
         std::fprintf(stderr, "inspect: artifact path required\n");
@@ -240,7 +176,7 @@ cmdInspect(const Args &args)
 }
 
 int
-cmdVerify(const Args &args)
+cmdVerify(const cli::Args &args)
 {
     if (args.positional.empty()) {
         std::fprintf(stderr, "verify: artifact path required\n");
@@ -295,7 +231,7 @@ cmdVerify(const Args &args)
 }
 
 int
-cmdFetch(const Args &args)
+cmdFetch(const cli::Args &args)
 {
     if (args.positional.empty()) {
         std::fprintf(stderr, "fetch: fingerprint (hex) required\n");
@@ -336,21 +272,35 @@ main(int argc, char **argv)
     ca::telemetry::CliSession session(argc, argv);
     if (argc < 2)
         return usage();
-    std::string cmd = argv[1];
-    Args args = parseArgs(argc, argv, 2);
-    try {
-        if (cmd == "pack")
-            return cmdPack(args);
-        if (cmd == "inspect")
-            return cmdInspect(args);
-        if (cmd == "verify")
-            return cmdVerify(args);
-        if (cmd == "fetch")
-            return cmdFetch(args);
-    } catch (const ca::CaError &e) {
-        std::fprintf(stderr, "ca_artifact %s: %s\n", cmd.c_str(),
-                     e.what());
-        return 1;
+    const std::string cmd = argv[1];
+    struct Command
+    {
+        const char *name;
+        int (*run)(const ca::cli::Args &);
+        std::vector<ca::cli::Option> options;
+    };
+    const Command commands[] = {
+        {"pack", cmdPack,
+         {{"out"}, {"benchmark"}, {"rules"}, {"pattern"}, {"scale"},
+          {"seed"}, {"policy"}, {"label"}}},
+        {"inspect", cmdInspect, {}},
+        {"verify", cmdVerify, {{"input-bytes"}, {"seed"}}},
+        {"fetch", cmdFetch, {{"from"}, {"out"}}},
+    };
+    for (const Command &c : commands) {
+        if (cmd != c.name)
+            continue;
+        const std::string tool = "ca_artifact " + cmd;
+        std::optional<ca::cli::Args> args =
+            ca::cli::parseArgs(argc, argv, 2, tool.c_str(), c.options);
+        if (!args)
+            return usage();
+        try {
+            return c.run(*args);
+        } catch (const ca::CaError &e) {
+            std::fprintf(stderr, "%s: %s\n", tool.c_str(), e.what());
+            return 1;
+        }
     }
     std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
     return usage();

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "core/error.h"
 #include "net/client.h"
 #include "telemetry/telemetry.h"
@@ -51,45 +52,6 @@ usage()
     return 2;
 }
 
-struct Args
-{
-    std::vector<std::string> positional;
-    std::vector<std::pair<std::string, std::string>> options;
-
-    std::string
-    opt(const std::string &name, const std::string &fallback = {}) const
-    {
-        for (const auto &[k, v] : options)
-            if (k == name)
-                return v;
-        return fallback;
-    }
-};
-
-Args
-parseArgs(int argc, char **argv, int start)
-{
-    Args args;
-    for (int i = start; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--", 0) == 0) {
-            std::string key = a.substr(2);
-            std::string value;
-            size_t eq = key.find('=');
-            if (eq != std::string::npos) {
-                value = key.substr(eq + 1);
-                key = key.substr(0, eq);
-            } else if (i + 1 < argc) {
-                value = argv[++i];
-            }
-            args.options.emplace_back(key, value);
-        } else {
-            args.positional.push_back(a);
-        }
-    }
-    return args;
-}
-
 std::vector<uint8_t>
 readFile(const std::string &path)
 {
@@ -100,7 +62,7 @@ readFile(const std::string &path)
 }
 
 int
-run(const Args &args)
+run(const cli::Args &args)
 {
     if (args.opt("port").empty()) {
         std::fprintf(stderr, "ca_client: --port is required\n");
@@ -189,9 +151,15 @@ int
 main(int argc, char **argv)
 {
     ca::telemetry::CliSession session(argc, argv);
-    Args args = parseArgs(argc, argv, 1);
+    std::optional<ca::cli::Args> args = ca::cli::parseArgs(
+        argc, argv, 1, "ca_client",
+        {{"host"}, {"port"}, {"chunk-bytes"}, {"fingerprint"},
+         {"gen-benchmark"}, {"gen-bytes"}, {"gen-scale"}, {"seed"},
+         {"print"}});
+    if (!args)
+        return usage();
     try {
-        return run(args);
+        return run(*args);
     } catch (const ca::CaError &e) {
         std::fprintf(stderr, "ca_client: %s\n", e.what());
         return 1;

@@ -57,13 +57,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli.h"
 #include "cluster/replication.h"
 #include "compiler/mapping.h"
 #include "core/error.h"
@@ -119,72 +119,6 @@ usage()
         "            [--admin-port N] [--admin-bind ADDR] "
         "[--watch-artifact]\n");
     return 2;
-}
-
-struct Args
-{
-    std::vector<std::string> positional;
-    std::vector<std::pair<std::string, std::string>> options;
-
-    std::string
-    opt(const std::string &name, const std::string &fallback = {}) const
-    {
-        for (const auto &[k, v] : options)
-            if (k == name)
-                return v;
-        return fallback;
-    }
-
-    std::vector<std::string>
-    optAll(const std::string &name) const
-    {
-        std::vector<std::string> out;
-        for (const auto &[k, v] : options)
-            if (k == name)
-                out.push_back(v);
-        return out;
-    }
-};
-
-Args
-parseArgs(int argc, char **argv, int start)
-{
-    Args args;
-    for (int i = start; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--", 0) == 0) {
-            std::string key = a.substr(2);
-            std::string value;
-            size_t eq = key.find('=');
-            if (eq != std::string::npos) {
-                value = key.substr(eq + 1);
-                key = key.substr(0, eq);
-            } else if (key != "watch-artifact" && i + 1 < argc) {
-                // Boolean flags take no value; everything else consumes
-                // the next token.
-                value = argv[++i];
-            }
-            args.options.emplace_back(key, value);
-        } else {
-            args.positional.push_back(a);
-        }
-    }
-    return args;
-}
-
-std::vector<std::string>
-readRulesFile(const std::string &path)
-{
-    std::ifstream is(path);
-    CA_FATAL_IF(!is, "cannot open rules file " << path);
-    std::vector<std::string> rules;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (!line.empty() && line[0] != '#')
-            rules.push_back(line);
-    }
-    CA_FATAL_IF(rules.empty(), "no rules in " << path);
-    return rules;
 }
 
 void
@@ -331,7 +265,7 @@ renderStatsPage(const net::MatchServer &server)
 }
 
 int
-run(const Args &args)
+run(const cli::Args &args)
 {
     net::MatchServerOptions opts;
     opts.bindAddress = args.opt("bind", "127.0.0.1");
@@ -466,7 +400,7 @@ run(const Args &args)
         if (!args.opt("benchmark").empty()) {
             nfa = findBenchmark(args.opt("benchmark")).build(scale, seed);
         } else if (!args.opt("rules").empty()) {
-            nfa = compileRuleset(readRulesFile(args.opt("rules")));
+            nfa = compileRuleset(cli::readRulesFile(args.opt("rules")));
         } else if (!args.optAll("pattern").empty()) {
             nfa = compileRuleset(args.optAll("pattern"));
         } else {
@@ -537,12 +471,7 @@ run(const Args &args)
         ? -1
         : std::stol(args.opt("stats-interval-s")) * 1000;
     const std::string artifact_path = args.opt("artifact");
-    const bool watch_artifact =
-        args.options.end() !=
-        std::find_if(args.options.begin(), args.options.end(),
-                     [](const auto &kv) {
-                         return kv.first == "watch-artifact";
-                     });
+    const bool watch_artifact = args.has("watch-artifact");
     auto artifactMtime = [&artifact_path] {
         std::error_code ec;
         return std::filesystem::last_write_time(artifact_path, ec);
@@ -650,9 +579,19 @@ int
 main(int argc, char **argv)
 {
     ca::telemetry::CliSession session(argc, argv);
-    Args args = parseArgs(argc, argv, 1);
+    std::optional<ca::cli::Args> args = ca::cli::parseArgs(
+        argc, argv, 1, "ca_server",
+        {{"artifact"}, {"benchmark"}, {"rules"}, {"pattern"}, {"scale"},
+         {"seed"}, {"port"}, {"bind"}, {"workers"}, {"max-conns"},
+         {"max-streams"}, {"queue-depth"}, {"kernel"}, {"match-parallel"},
+         {"idle-timeout-ms"}, {"duration-s"}, {"stats-port"},
+         {"stats-bind"}, {"stats-interval-s"}, {"peer"}, {"cache-dir"},
+         {"fingerprint"}, {"admin-port"}, {"admin-bind"},
+         {"watch-artifact", false}});
+    if (!args)
+        return usage();
     try {
-        return run(args);
+        return run(*args);
     } catch (const ca::CaError &e) {
         std::fprintf(stderr, "ca_server: %s\n", e.what());
         return 1;
