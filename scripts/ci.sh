@@ -47,7 +47,12 @@ ctest --test-dir build --repeat until-fail:20 -j 8 -L "net|runtime|cluster" \
 
 # The kernel-comparison bench's plumbing (table + cross-kernel report
 # check) at smoke size, so the bench binary cannot rot between releases.
+# It also runs from build-release: its cross-check compares every suite
+# automaton's reports and activity counters across the three kernels and
+# against the sim, on multi-partition automata, and -O3 vectorizes the
+# steppers' word loops differently.
 ./build/bench/bench_kernel_comparison --smoke >/dev/null
+./build-release/bench/bench_kernel_comparison --smoke >/dev/null
 
 # The chunk-parallel matching bench's plumbing (table + per-degree
 # report cross-check against the sim) at smoke size.

@@ -4,15 +4,22 @@
  * dispatches between them, templated on a kernel observer
  * (match::NullObserver documents the hooks).
  *
- * Both steppers, scored and unscored alike, take one step shape
+ * Every stepper, scored and unscored alike, takes one step shape
  * (docs/MATCH.md): the next frontier starts as the start image of the
  * byte's class (MatchContext), the frontier's matched edges go on top,
  * and the symbol's reports go through one (state, score) buffer. The
  * fixed starts decide only the class (the empty class 0 until they are
- * live) and the observer's fixedStarts() call. Both step the engine's
+ * live) and the observer's fixedStarts() call. All step the engine's
  * one frontier bitvector and score pair over the context's tables, all
- * indexed by slot; only the unweighted dense step reads the L-switch
- * rows and G-switch CSR in place of the successor CSR.
+ * indexed by slot; only the unweighted dense steps read their own
+ * successor tables in place of the successor CSR. The dense kernel has
+ * two steps. The shift step (feedShiftImpl) visits the frontier's live
+ * (non-zero) words, serves every matched state's self and next edges
+ * (slot k to k and to k + 1) a word at a time, and walks L-switch rows
+ * and G-switch wires for the few exception states only: O(live words +
+ * matched exception states) per symbol. The partition scan
+ * (feedDenseImpl) serves weighted automata and those where most states
+ * have exception edges: O(partitions) per symbol.
  *
  * Included by match_engine.cpp, which instantiates them with
  * NullObserver, and by the simulator, which instantiates them with its
@@ -97,6 +104,8 @@ MatchEngine::runKernel(bool dense, const uint8_t *data, size_t size,
     if (dense) {
         if (ctx_->scored())
             feedDenseImpl<true>(data, size, obs);
+        else if (!ctx_->shift_.empty())
+            feedShiftImpl(data, size, obs);
         else
             feedDenseImpl<false>(data, size, obs);
     } else {
@@ -109,9 +118,11 @@ MatchEngine::runKernel(bool dense, const uint8_t *data, size_t size,
 
 // The steppers stay out of line: inlined into runKernel, their one call
 // site each, they shared one register allocation, and GCC spilled the
-// dense frontier pointer in the partition scan.
+// dense frontier pointer in the partition scan. Each starts on a cache
+// line, so their speed does not move with the size of the code linked
+// before them.
 template <bool Scored, class Obs>
-[[gnu::noinline]] void
+[[gnu::noinline, gnu::aligned(64)]] void
 MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
 {
     const MatchContext &cx = *ctx_;
@@ -196,7 +207,7 @@ MatchEngine::feedSparseImpl(const uint8_t *data, size_t size, Obs &obs)
 }
 
 template <bool Scored, class Obs>
-[[gnu::noinline]] void
+[[gnu::noinline, gnu::aligned(64)]] void
 MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
 {
     const MatchContext &cx = *ctx_;
@@ -338,6 +349,167 @@ MatchEngine::feedDenseImpl(const uint8_t *data, size_t size, Obs &obs)
         if (scur != score_cur_.data())
             score_cur_.swap(score_nxt_);
     }
+}
+
+template <class Obs>
+[[gnu::noinline, gnu::aligned(64)]] void
+MatchEngine::feedShiftImpl(const uint8_t *data, size_t size, Obs &obs)
+{
+    const MatchContext &cx = *ctx_;
+    const size_t words = cx.slot_words_;
+    uint64_t *cur = cur_.raw().data();
+    uint64_t *nxt = nxt_.raw().data();
+    const uint64_t *rep_mask = cx.report_mask_.data();
+    const MatchContext::ShiftWord *shift = cx.shift_.data();
+    const uint64_t *lswitch = cx.lswitch_.data();
+    const bool gather_reports = collect_ || Obs::kCountsReports;
+    // The step visits only cur's live (non-zero) words, one summary bit
+    // each, and clears each word as it reads it, so nxt and its summary
+    // are all zero when a symbol begins.
+    uint64_t *live = live_cur_.data();
+    uint64_t *live_nxt = live_nxt_.data();
+    const size_t live_words = live_cur_.size();
+    std::pair<size_t, uint64_t> *queue = dense_queue_.data();
+    std::fill(nxt, nxt + words, 0);
+    std::fill(live, live + live_words, 0);
+    std::fill(live_nxt, live_nxt + live_words, 0);
+    for (size_t w = 0; w < words; ++w)
+        live[w >> 6] |= uint64_t{cur[w] != 0} << (w & 63);
+    // ORs bits into nxt word w and keeps its summary bit.
+    auto put = [&](size_t w, uint64_t bits) {
+        nxt[w] |= bits;
+        live_nxt[w >> 6] |= uint64_t{bits != 0} << (w & 63);
+    };
+    bool fixed = fixed_live_;
+
+    for (size_t i = 0; i < size; ++i) {
+        uint8_t c = data[i];
+        const uint16_t cls = fixed ? cx.byte_class_[c] : 0;
+        const MatchContext::ClassBegin &run = cx.class_begin_[cls];
+        const MatchContext::ClassBegin &run_end = cx.class_begin_[cls + 1];
+        // The next frontier starts as the class's image. The class's
+        // reports go in first too: emission sorts them.
+        for (uint32_t k = run.word; k < run_end.word; ++k)
+            put(cx.image_word_[k].first, cx.image_word_[k].second);
+        if (gather_reports) {
+            for (uint32_t k = run.report; k < run_end.report; ++k)
+                cycle_reports_.push_back(cx.class_report_[k]);
+        }
+
+        if (fixed)
+            obs.fixedStarts(c);
+        const uint64_t *rows = &cx.rows_[static_cast<size_t>(c) * words];
+        // The live words, ascending. A word's matched self and next
+        // edges take two ANDs and a shift for all its states, bit 63's
+        // next edge carrying into the following word (the last slot has
+        // no next slot, so the last word carries nothing into the
+        // frontier's spare word). A word whose matched states report or
+        // have an exception edge is queued for the walk below, which
+        // keeps the word loop free of branches and of the walk's
+        // registers.
+        size_t queued = 0;
+        uint32_t seen_p = cx.dense_partitions_;
+        for (size_t lw = 0; lw < live_words; ++lw) {
+            uint64_t bits = live[lw];
+            if (!bits)
+                continue;
+            live[lw] = 0;
+            // nxt's summary bits for the words this summary word
+            // covers; the carry of its word 63, if live, goes to the
+            // next summary word.
+            uint64_t here = 0;
+            uint64_t last_carry = 0;
+            for (; bits; bits &= bits - 1) {
+                const int b = std::countr_zero(bits);
+                const size_t w = lw * 64 + static_cast<size_t>(b);
+                const auto p = static_cast<uint32_t>(w / kWordsPerPartition);
+                if (p != seen_p) {
+                    // The partition's first live word: the words before
+                    // it are zero and the rest not yet read.
+                    const size_t base = w & ~(kWordsPerPartition - 1);
+                    seen_p = p;
+                    obs.densePartition(p, cur[base + 0], cur[base + 1],
+                                       cur[base + 2], cur[base + 3]);
+                }
+                // The §2.2 row read: the SRAM row *is* the match vector.
+                const uint64_t m = cur[w] & rows[w];
+                cur[w] = 0;
+                if (m)
+                    obs.denseMatch(w, m);
+                const MatchContext::ShiftWord &sh = shift[w];
+                const uint64_t fwd = m & sh.next;
+                const uint64_t stay = (m & sh.self) | (fwd << 1);
+                const uint64_t carry = fwd >> 63;
+                nxt[w] |= stay;
+                nxt[w + 1] |= carry;
+                here |= (uint64_t{stay != 0} | (carry << 1)) << b;
+                last_carry = carry << b;
+                queue[queued] = {w, m};
+                queued += (m & (sh.exception | rep_mask[w])) != 0;
+            }
+            live_nxt[lw] |= here;
+            if (last_carry >> 63)
+                live_nxt[lw + 1] |= 1;
+        }
+        // The queued words, ascending: reports, then the exception
+        // states' L-switch rows (4-word OR) and their few G-switch
+        // wires. The rows' summary bits gather in a register, one
+        // summary word at a time.
+        size_t acc_lw = 0;
+        uint64_t acc = 0;
+        for (size_t q = 0; q < queued; ++q) {
+            const auto [w, m] = queue[q];
+            if (gather_reports) {
+                for (uint64_t rw = m & rep_mask[w]; rw; rw &= rw - 1) {
+                    const uint32_t di = static_cast<uint32_t>(
+                        w * 64 + static_cast<size_t>(std::countr_zero(rw)));
+                    cycle_reports_.emplace_back(cx.state_of_slot_[di], 0);
+                }
+            }
+            const uint64_t x = m & shift[w].exception;
+            if (!x)
+                continue;
+            const size_t base = w & ~(kWordsPerPartition - 1);
+            uint64_t *part = nxt + base;
+            for (uint64_t xb = x; xb; xb &= xb - 1) {
+                const uint32_t di = static_cast<uint32_t>(
+                    w * 64 + static_cast<size_t>(std::countr_zero(xb)));
+                const uint64_t *row = lswitch +
+                    static_cast<size_t>(di) * kWordsPerPartition;
+                part[0] |= row[0];
+                part[1] |= row[1];
+                part[2] |= row[2];
+                part[3] |= row[3];
+                for (uint32_t e = cx.cross_xadj_[di];
+                     e < cx.cross_xadj_[di + 1]; ++e) {
+                    const uint32_t ti = cx.cross_[e];
+                    put(ti >> 6, uint64_t{1} << (ti & 63));
+                }
+            }
+            if (base >> 6 != acc_lw) {
+                live_nxt[acc_lw] |= acc;
+                acc = 0;
+                acc_lw = base >> 6;
+            }
+            acc |= (uint64_t{part[0] != 0} | uint64_t{part[1] != 0} << 1 |
+                    uint64_t{part[2] != 0} << 2 |
+                    uint64_t{part[3] != 0} << 3)
+                << (base & 63);
+        }
+        live_nxt[acc_lw] |= acc;
+        obs.symbolEnd(offset_, emitCycleReports());
+
+        std::swap(cur, nxt);
+        std::swap(live, live_nxt);
+        ++offset_;
+        fixed = true;
+    }
+    if (size > 0)
+        fixed_live_ = true;
+    // An odd symbol count leaves the live frontier in nxt_'s storage;
+    // swap the vectors so cur_ owns it again.
+    if (cur != cur_.raw().data())
+        std::swap(cur_, nxt_);
 }
 
 } // namespace ca::match

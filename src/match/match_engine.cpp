@@ -211,9 +211,32 @@ MatchContext::buildTables()
 
     if (!dense_available_ || scored_)
         return;
-    // The unweighted dense step's L-switch crossbar rows (intra-partition
-    // successors) and G-switch CSR (cross-partition successors, few per
-    // state by the 16/8 wire budgets).
+    // The shift masks. The compiler lays a Glushkov chain out slot after
+    // slot, so on most rulesets nearly every state steps only to its own
+    // slot or to the next one, often across a word or a partition
+    // boundary, and the shift step serves those edges a word at a time.
+    // Where most states have an exception edge (the Levenshtein and
+    // Hamming constructions), the word loop would only add to the row
+    // walk, so those automata keep the partition scan and no masks.
+    std::vector<ShiftWord> shift(words);
+    size_t exceptions = 0;
+    for (uint32_t k = 0; k < slots; ++k) {
+        const uint64_t bit = uint64_t{1} << (k & 63);
+        ShiftWord &sh = shift[k >> 6];
+        for (uint32_t e = succ_xadj_[k]; e < succ_xadj_[k + 1]; ++e) {
+            (succ_[e] == k ? sh.self
+                 : succ_[e] == k + 1 ? sh.next
+                 : sh.exception) |= bit;
+        }
+        exceptions += (sh.exception & bit) != 0;
+    }
+    if (2 * exceptions <= num_states_)
+        shift_ = std::move(shift);
+    // The L-switch crossbar rows (intra-partition successors) and
+    // G-switch CSR (cross-partition successors, few per state by the
+    // 16/8 wire budgets): the partition scan drives them for every
+    // matched state, the shift step for exception states only. A row or
+    // list may repeat a self or next edge; ORing it twice is harmless.
     auto partition = [](uint32_t k) { return k / kSlotsPerPartition; };
     lswitch_.assign(slots * kWordsPerPartition, 0);
     cross_xadj_.assign(slots + 1, 0);
@@ -371,9 +394,20 @@ MatchEngine::MatchEngine(std::shared_ptr<const MatchContext> ctx,
 {
     CA_FATAL_IF(!ctx_, "MatchEngine: null context");
     const size_t slots = ctx_->numSlots();
-    cur_ = BitVector(slots == 0 ? 1 : slots);
-    if (ctx_->denseAvailable())
-        nxt_ = BitVector(slots);
+    // With a dense kernel the frontier has a spare word past the last
+    // slot: the unweighted dense step stores every word's carry into the
+    // next word unchecked, and the last word's is always zero.
+    cur_ = BitVector(ctx_->denseAvailable() ? slots + 64
+                                            : std::max<size_t>(slots, 1));
+    if (ctx_->denseAvailable()) {
+        nxt_ = BitVector(slots + 64);
+        if (!ctx_->scored()) {
+            const size_t words = ctx_->slot_words_;
+            live_cur_.assign((words + 63) / 64, 0);
+            live_nxt_.assign(live_cur_.size(), 0);
+            dense_queue_.resize(words);
+        }
+    }
     if (ctx_->scored()) {
         score_cur_.assign(slots, 0);
         score_nxt_.assign(slots, 0);

@@ -44,9 +44,11 @@ namespace ca {
  *    symbol. Wins when few states are active (DFA-like automata).
  *  - Dense: bit-parallel §2.2 row-read model — per-partition 256-entry
  *    symbol→match-mask tables and per-state successor masks, stepped
- *    with whole 64-bit words. Cost is O(partitions) per symbol
- *    regardless of activity; wins on high-activity automata (Fermi,
- *    SPM, Protomata-class).
+ *    with whole 64-bit words. The shift step serves self and next edges
+ *    a word at a time over the frontier's live words, O(live words +
+ *    matched exception states) per symbol; automata where most states
+ *    have other edges take the partition scan, O(partitions). Wins on
+ *    high-activity automata (Fermi, SPM, Protomata-class).
  *  - Auto: per-block selection on an EWMA of the non-start frontier's
  *    density (enabled states ÷ total states, not counting the fixed
  *    starts). Both kernels seed each next frontier from the same
@@ -141,11 +143,11 @@ struct MatchOptions
      * frontier's density (enabled states other than the fixed starts ÷
      * total states) is at least this, so 0 pins dense and anything
      * above 1 pins sparse. The default is the crossover measured when
-     * it was set (bench_kernel_comparison, MatchEngine timings: sparse
-     * won every suite row at or below ~0.002, dense every row from
-     * ~0.003); EXPERIMENTS.md has the current sweep.
+     * it was set (bench_kernel_comparison, MatchEngine timings, with the
+     * shift step: sparse won no suite row above 0.0014, dense every row
+     * from 0.0020); EXPERIMENTS.md has the current sweep.
      */
-    double autoDensityThreshold = 0.003;
+    double autoDensityThreshold = 0.0017;
     /** Auto: EWMA smoothing factor for per-block density samples. */
     double autoEwmaAlpha = 0.25;
     /**
@@ -180,9 +182,16 @@ struct MatchOptions
  *    automaton), read by both sparse steppers and the weighted dense
  *    step;
  *  - the start image below.
- * The unweighted dense step alone reads the hardware's split of the same
- * edges: L-switch rows (intra-partition successor masks) and a G-switch
- * CSR of cross-partition edges. State ids appear only at the boundary:
+ * The unweighted dense steps alone read their own form of the same
+ * edges: the hardware's split into L-switch rows (intra-partition
+ * successor masks) and a G-switch CSR of cross-partition edges, and,
+ * where at least half the states step only to their own slot or the
+ * next one, three slot masks: *self* (an edge to its own slot), *next*
+ * (an edge to slot k + 1) and *exception* (any other edge). With the
+ * masks, the shift step serves self and next edges a frontier word at a
+ * time, and only exception states read their rows; without them, the
+ * partition scan drives every matched state's row. State ids appear
+ * only at the boundary:
  * loading and reading a frontier, the fixed starts, and report emission
  * in ascending state-id order (report ids stay per state).
  *
@@ -303,7 +312,22 @@ class MatchContext
     std::vector<uint32_t> succ_xadj_;
     std::vector<uint32_t> succ_;
     std::vector<Weight> succ_w_;
-    // The unweighted dense step's successors, the hardware's split.
+    // The unweighted dense steps' successors.
+    /**
+     * One frontier word's slots sorted by their edges: an edge to their
+     * own slot (self), to the next slot (next), to any other (exception).
+     */
+    struct ShiftWord
+    {
+        uint64_t self = 0;
+        uint64_t next = 0;
+        uint64_t exception = 0;
+    };
+    /**
+     * The shift masks per frontier word; empty (the partition scan
+     * runs) when more than half the states have an exception edge.
+     */
+    std::vector<ShiftWord> shift_;
     /** L-switch: per-slot intra-partition successor masks. */
     std::vector<uint64_t> lswitch_;
     /** G-switch: CSR of cross-partition successor slots. */
@@ -491,6 +515,9 @@ class MatchEngine
     void feedSparseImpl(const uint8_t *data, size_t size, Obs &obs);
     template <bool Scored, class Obs>
     void feedDenseImpl(const uint8_t *data, size_t size, Obs &obs);
+    /** The unweighted dense step over live words and shift masks. */
+    template <class Obs>
+    void feedShiftImpl(const uint8_t *data, size_t size, Obs &obs);
 
     /**
      * Emits the symbol's reports in canonical (ascending state id)
@@ -525,6 +552,17 @@ class MatchEngine
      */
     BitVector cur_;
     BitVector nxt_;
+    /**
+     * The unweighted dense step's summaries of its current and next
+     * vectors, one bit per word: set where the word is non-zero.
+     */
+    std::vector<uint64_t> live_cur_;
+    std::vector<uint64_t> live_nxt_;
+    /**
+     * The unweighted dense step's words to walk after its word loop,
+     * (word, matched bits): room for every frontier word.
+     */
+    std::vector<std::pair<size_t, uint64_t>> dense_queue_;
     /** The sparse kernel's worklist: cur_'s slots, stale while dense. */
     std::vector<uint32_t> enabled_;
     std::vector<uint32_t> active_scratch_;

@@ -189,19 +189,23 @@ MatchServer::startServing(std::unique_ptr<runtime::StreamServer> first)
     current_->fingerprint = persist::artifactFingerprint(first->mapped());
     current_->stream = std::move(first);
 
+    // Bind both listeners before starting either accept thread: a bind
+    // failure then throws out of the constructor with no joinable thread
+    // left behind.
     listener_ = listenTcp(opts_.bindAddress, opts_.port);
     port_ = localPort(listener_);
-    accept_thread_ =
-        std::thread([this] { acceptLoop(listener_, false); });
     if (opts_.adminEnabled) {
         const std::string &bind = opts_.adminBindAddress.empty()
             ? opts_.bindAddress
             : opts_.adminBindAddress;
         admin_listener_ = listenTcp(bind, opts_.adminPort);
         admin_port_ = localPort(admin_listener_);
+    }
+    accept_thread_ =
+        std::thread([this] { acceptLoop(listener_, false); });
+    if (opts_.adminEnabled)
         admin_accept_thread_ =
             std::thread([this] { acceptLoop(admin_listener_, true); });
-    }
 }
 
 std::unique_ptr<MatchServer>

@@ -17,6 +17,7 @@
 
 #include "baseline/nfa_engine.h"
 #include "compiler/mapping.h"
+#include "match/match_engine.h"
 #include "nfa/glushkov.h"
 #include "sim/engine.h"
 #include "workload/input_gen.h"
@@ -78,6 +79,13 @@ TEST_P(KernelEquality, DenseAndAutoMatchSparseAndOracle)
         "ab", "c+", "(d|ef)", "[g-i]{1,2}", "j.*k", "[lm]", "n?o",
         ".",
     };
+    // Every rule ends in two long blocks. Their chains lay next edges
+    // across words (bit 63 to bit 0 of the next word) in every ruleset,
+    // and 18 of the 24 rulesets span three partitions or more.
+    const std::string literal = "pqrstuvwpqrstuvwpqrstuvwpqrstuvwpqrstuvw"
+                                "pqrstuvwpqrstuvwpqrstuvwpqrstu";
+    const std::string kLongBlocks[] = {literal, "[a-f]{40}",
+                                       literal + "x.*y"};
     std::vector<std::string> rules;
     int n_rules = 2 + static_cast<int>(rng.below(8));
     for (int r = 0; r < n_rules; ++r) {
@@ -85,6 +93,8 @@ TEST_P(KernelEquality, DenseAndAutoMatchSparseAndOracle)
         int blocks = 1 + static_cast<int>(rng.below(4));
         for (int b = 0; b < blocks; ++b)
             pat += kBlocks[rng.below(std::size(kBlocks))];
+        for (int b = 0; b < 2; ++b)
+            pat += kLongBlocks[rng.below(std::size(kLongBlocks))];
         rules.push_back(pat);
     }
 
@@ -139,6 +149,100 @@ TEST(Kernel, DenseHandlesCrossPartitionEdges)
         EXPECT_EQ(de.denseKernelSymbols, de.symbols);
         EXPECT_EQ(sp.sparseKernelSymbols, sp.symbols);
     }
+}
+
+/**
+ * @p nfa placed in state-id order, 256 states to a partition. A Glushkov
+ * chain then runs slot after slot straight across word and partition
+ * boundaries, where the mapper would cut it.
+ */
+MappedAutomaton
+packInIdOrder(const Nfa &nfa)
+{
+    const StateId n = static_cast<StateId>(nfa.numStates());
+    std::vector<SteLocation> where(n);
+    std::vector<PartitionInfo> parts((n + 255) / 256);
+    std::vector<CrossEdge> cross;
+    for (StateId s = 0; s < n; ++s) {
+        where[s] = {s / 256, static_cast<uint16_t>(s % 256)};
+        parts[s / 256].states.push_back(s);
+        for (StateId t : nfa.state(s).out)
+            if (s / 256 != t / 256)
+                cross.push_back({s, t, false});
+    }
+    return MappedAutomaton::fromParts(nfa, mapPerformance(nfa).design(),
+                                      std::move(where), std::move(parts),
+                                      std::move(cross), MappingStats{});
+}
+
+TEST(Kernel, DenseShiftEdgesCrossWordsAndPartitions)
+{
+    // Three rules of twelve 117-letter chains, packed in id order, fill
+    // 16 partitions and the 17th to column 203. Their chains step next
+    // edges from bit 63 of a word, from column 255 of a partition, and
+    // from slot 4095 into slot 4096, the first word of the dense step's
+    // second summary word; the last rule's tail runs through the
+    // frontier's last word. The glue between the chains (alternation,
+    // `.*`, `?`) gives non-start states exception edges (k to k + 2 and
+    // further).
+    std::string chain;
+    for (int i = 0; i < 117; ++i)
+        chain += static_cast<char>('a' + i % 20);
+    auto rule = [&](const std::string &glue) {
+        std::string r = chain;
+        for (int i = 0; i < 11; ++i)
+            r += glue + chain;
+        return r;
+    };
+    const std::vector<std::string> rules = {rule("(d|ef)"), rule("j.*k"),
+                                            rule("n?o")};
+    MappedAutomaton m = packInIdOrder(compileRuleset(rules));
+    ASSERT_EQ(m.nfa().numStates(), 16u * 256 + 204);
+    auto ctx = std::make_shared<const match::MatchContext>(m);
+    bool next_at_bit63 = false, next_at_col255 = false;
+    for (StateId s = 0; s < m.nfa().numStates(); ++s) {
+        for (StateId t : m.nfa().state(s).out) {
+            const uint32_t k = ctx->slot(s);
+            if (ctx->slot(t) == k + 1 && k % 64 == 63)
+                (k % 256 == 255 ? next_at_col255 : next_at_bit63) = true;
+        }
+    }
+    EXPECT_TRUE(next_at_bit63);
+    EXPECT_TRUE(next_at_col255);
+    // Slot 4095's only edge is its next edge, so the carry alone enables
+    // slot 4096.
+    EXPECT_EQ(m.nfa().state(4095).out, std::vector<StateId>{4096});
+
+    InputSpec spec;
+    spec.kind = StreamKind::Text;
+    spec.plantPatterns = rules;
+    spec.plantsPer4k = 32.0;
+    auto input = buildInput(spec, 32 << 10, 41);
+
+    // The frontier reaches the last word.
+    match::MatchOptions dense_opts;
+    dense_opts.kernel = SimKernel::Dense;
+    match::MatchEngine engine(ctx, dense_opts);
+    bool last_word_live = false;
+    for (uint8_t c : input) {
+        engine.feed(&c, 1);
+        for (StateId s : engine.frontier())
+            last_word_live |= ctx->slot(s) + 64 >= ctx->numSlots();
+    }
+    EXPECT_TRUE(last_word_live);
+
+    CacheAutomatonSim sparse(m, kernelOpts(SimKernel::Sparse));
+    CacheAutomatonSim dense(m, kernelOpts(SimKernel::Dense));
+    SimOptions auto_opts = kernelOpts(SimKernel::Auto);
+    auto_opts.autoBlockSymbols = 256;
+    CacheAutomatonSim auto_sim(m, auto_opts);
+    SimResult sp = sparse.run(input);
+    expectSameResult(dense.run(input), sp, "dense vs sparse");
+    expectSameResult(auto_sim.run(input), sp, "auto vs sparse");
+    std::vector<Report> expect = NfaEngine(m.nfa()).run(input);
+    EXPECT_EQ(sp.reports, expect);
+    EXPECT_EQ(engine.takeReports(), expect);
+    EXPECT_FALSE(expect.empty());
 }
 
 TEST(Kernel, DenseTraceMatchesSparse)

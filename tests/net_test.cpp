@@ -1171,6 +1171,25 @@ TEST(NetE2E, FingerprintPinMismatchRefusesService)
 
 // --- Robustness --------------------------------------------------------
 
+TEST(NetRobustness, BusyAdminPortThrowsCaError)
+{
+    // Another listener holds the admin port, so the server's admin bind
+    // fails after its match-plane bind succeeded. The constructor must
+    // throw the bind error, not unwind past a running accept thread
+    // (which terminates the process).
+    net::SocketFd held = net::listenTcp("127.0.0.1", 0);
+    MatchServerOptions opts;
+    opts.adminEnabled = true;
+    opts.adminPort = net::localPort(held);
+    try {
+        MatchServer server(sampleMapped(), opts);
+        FAIL() << "a busy admin port should have been refused";
+    } catch (const CaError &e) {
+        EXPECT_NE(std::string(e.what()).find("bind"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(NetRobustness, OverCapConnectionGetsBusyOthersKeepWorking)
 {
     MappedAutomaton &m = sampleMapped();
